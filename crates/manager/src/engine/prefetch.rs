@@ -204,7 +204,10 @@ impl ManagerState {
     /// Aborts the in-flight speculative load because a demand load
     /// needs the port *now*. The partially written RU returns to empty
     /// (and is usually the demand load's own target one line later).
+    /// A load cancelled while it waits to retry a corrupt transfer
+    /// takes its attempts with it: the next load starts at attempt 1.
     pub(crate) fn cancel_prefetch(&mut self, now: SimTime) {
+        self.faults.load_attempts = 0;
         let op = self.controller.cancel(now);
         let discarded = self
             .pool

@@ -62,5 +62,6 @@ pub use reuse_index::{ReuseIndex, ReuseWindow};
 pub use stats::{ClassSojournStats, FaultStats, PrefetchStats, QosStats, RunStats};
 pub use trace::{FaultKind, Trace, TraceCounts, TraceEvent};
 pub use validate::{
-    CheckContext, CheckOutput, Checker, CheckerOutcome, CheckerRegistry, RegistryReport, Violation,
+    CheckContext, CheckOutput, Checker, CheckerOutcome, CheckerRegistry, RegistryReport, RunFacts,
+    Violation,
 };

@@ -405,6 +405,95 @@ pub struct TraceCounts {
     pub ru_heals: u64,
 }
 
+/// Per-RU state keyed by RU id: a `Vec` indexed by the id, grown on
+/// demand. A recorded trace names only the device's few RUs; a
+/// deserialised one may name any id, which costs at most one slot per
+/// id up to it. The map-like interface mirrors `HashMap<u16, V>`, and
+/// `Debug` prints the present entries in RU order.
+pub(crate) struct RuMap<V>(Vec<Option<V>>);
+
+/// A set of RU ids (see [`RuMap`]).
+pub(crate) type RuSet = RuMap<()>;
+
+impl<V> Default for RuMap<V> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<V> RuMap<V> {
+    /// The entry slot of `ru`, growing the table to reach it.
+    fn slot(&mut self, ru: u16) -> &mut Option<V> {
+        let i = usize::from(ru);
+        if i >= self.0.len() {
+            self.0.resize_with(i + 1, || None);
+        }
+        &mut self.0[i]
+    }
+
+    /// Stores `v` for `ru`; returns the value it replaced.
+    pub(crate) fn insert(&mut self, ru: u16, v: V) -> Option<V> {
+        self.slot(ru).replace(v)
+    }
+
+    /// Removes and returns the value of `ru`.
+    pub(crate) fn remove(&mut self, ru: u16) -> Option<V> {
+        self.0.get_mut(usize::from(ru)).and_then(Option::take)
+    }
+
+    /// The value of `ru`.
+    pub(crate) fn get(&self, ru: u16) -> Option<&V> {
+        self.0.get(usize::from(ru)).and_then(Option::as_ref)
+    }
+
+    /// The value of `ru`, mutably.
+    pub(crate) fn get_mut(&mut self, ru: u16) -> Option<&mut V> {
+        self.0.get_mut(usize::from(ru)).and_then(Option::as_mut)
+    }
+
+    /// True when `ru` has a value.
+    pub(crate) fn contains_key(&self, ru: u16) -> bool {
+        self.get(ru).is_some()
+    }
+
+    /// The value of `ru`, inserting `V::default()` first if absent.
+    pub(crate) fn entry_or_default(&mut self, ru: u16) -> &mut V
+    where
+        V: Default,
+    {
+        self.slot(ru).get_or_insert_with(V::default)
+    }
+
+    /// Present `(ru, value)` entries in RU order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u16, &V)> {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| Some((i as u16, v.as_ref()?)))
+    }
+
+    /// Present values, mutably, in RU order.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.0.iter_mut().flatten()
+    }
+
+    /// Number of present entries.
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().filter(|v| v.is_some()).count()
+    }
+
+    /// True when no RU has a value.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.iter().all(Option::is_none)
+    }
+}
+
+impl<V: std::fmt::Debug> std::fmt::Debug for RuMap<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// An ordered schedule trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
@@ -449,22 +538,22 @@ impl Trace {
     /// (hit) or overwritten by any later load on the same RU (wasted).
     pub fn counts(&self) -> TraceCounts {
         let mut c = TraceCounts::default();
-        let mut speculative: std::collections::HashSet<u16> = std::collections::HashSet::new();
-        let mut corrupt: std::collections::HashSet<u16> = std::collections::HashSet::new();
+        let mut speculative = RuSet::default();
+        let mut corrupt = RuSet::default();
         for ev in &self.events {
             match *ev {
                 TraceEvent::LoadStart { ru, .. } => {
                     c.loads += 1;
-                    if speculative.remove(&ru.0) {
+                    if speculative.remove(ru.0).is_some() {
                         c.prefetch_wasted += 1;
                     }
-                    if corrupt.remove(&ru.0) {
+                    if corrupt.remove(ru.0).is_some() {
                         c.fault_repairs += 1;
                     }
                 }
                 TraceEvent::Reuse { ru, .. } => {
                     c.reuses += 1;
-                    if speculative.remove(&ru.0) {
+                    if speculative.remove(ru.0).is_some() {
                         c.prefetch_hits += 1;
                     }
                 }
@@ -473,16 +562,16 @@ impl Trace {
                 TraceEvent::Stall { .. } => c.stalls += 1,
                 TraceEvent::PrefetchStart { ru, .. } => {
                     c.prefetch_issued += 1;
-                    if speculative.remove(&ru.0) {
+                    if speculative.remove(ru.0).is_some() {
                         c.prefetch_wasted += 1;
                     }
-                    if corrupt.remove(&ru.0) {
+                    if corrupt.remove(ru.0).is_some() {
                         c.fault_repairs += 1;
                     }
                 }
                 TraceEvent::PrefetchEnd { ru, .. } => {
                     c.prefetch_completed += 1;
-                    speculative.insert(ru.0);
+                    speculative.insert(ru.0, ());
                 }
                 TraceEvent::PrefetchCancel { .. } => c.prefetch_cancelled += 1,
                 TraceEvent::Preempt { .. } => c.preemptions += 1,
@@ -499,10 +588,10 @@ impl Trace {
                             // never claimed can no longer become a hit;
                             // the engine writes it off as wasted at the
                             // upset instant.
-                            if speculative.remove(&ru.0) {
+                            if speculative.remove(ru.0).is_some() {
                                 c.prefetch_wasted += 1;
                             }
-                            corrupt.insert(ru.0);
+                            corrupt.insert(ru.0, ());
                         }
                         FaultKind::RuHard => c.fault_ru += 1,
                     }
@@ -514,10 +603,10 @@ impl Trace {
                     // Quarantine discards whatever was resident: an
                     // unclaimed prefetch is wasted, a pending upset is
                     // wiped without counting as repaired.
-                    if speculative.remove(&ru.0) {
+                    if speculative.remove(ru.0).is_some() {
                         c.prefetch_wasted += 1;
                     }
-                    corrupt.remove(&ru.0);
+                    corrupt.remove(ru.0);
                 }
                 TraceEvent::RuHeal { .. } => c.ru_heals += 1,
                 _ => {}

@@ -1,20 +1,32 @@
 //! The standard invariant checkers.
 //!
 //! Each checker walks the trace with its own small local state so it
-//! can be enabled, disabled and counted independently; the shared
-//! bookkeeping (resident map, current-graph cursor) is cheap enough
-//! that a handful of checkers carrying private copies beats one
-//! monolithic pass with entangled assertions. The assertion *logic* is
-//! single-sited: every invariant lives in exactly one checker, and the
-//! test suites and the `vopr` fuzz campaigns all call the same
-//! registry.
+//! can be enabled, disabled and counted independently. What several
+//! of them need — the trace's event tallies, the fault and QoS regime
+//! flags, the activation order and the `(job, node)` slot numbering —
+//! is derived once per run into the [`RunFacts`] every checker
+//! receives, so no checker re-walks the trace to learn it.
+//!
+//! The bookkeeping is dense: per-node state lives in `Vec`s indexed by
+//! the run's slots, per-job state in `Vec`s indexed by job, per-RU
+//! state in [`RuMap`]s indexed by RU id, and an RU hard fault visits
+//! only the nodes placed on that RU since its previous one. Ids outside
+//! the workload (fabricated or deserialised traces) have no slot: a
+//! checker that reads such a node's state again keeps it in a small
+//! `BTreeMap` keyed by the raw ids, and one that never reads it back
+//! drops it, so the diagnostics are those of a walk keyed by the raw
+//! ids. A node beyond its job's graph is reported, not looked up.
+//!
+//! The assertion *logic* is single-sited: every invariant lives in
+//! exactly one checker, and the test suites and the `vopr` fuzz
+//! campaigns all call the same registry.
 
-use super::{CheckContext, CheckOutput, Checker};
+use super::{CheckContext, CheckOutput, Checker, RunFacts};
 use crate::job::JobSpec;
-use crate::trace::{FaultKind, TraceEvent};
-use rtr_sim::SimTime;
+use crate::trace::{FaultKind, RuMap, RuSet, TraceEvent};
+use rtr_sim::{SimDuration, SimTime};
 use rtr_taskgraph::{reconfiguration_sequence, ConfigId, NodeId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Every checker this crate defines, in canonical order.
 pub fn standard_checkers() -> Vec<Box<dyn Checker>> {
@@ -44,39 +56,6 @@ pub fn standard_checkers() -> Vec<Box<dyn Checker>> {
     ]
 }
 
-/// True when the trace records any fault-subsystem event. The
-/// recovery-lane re-queues reorder the demand request stream, so the
-/// linear-stream checkers (`prefetch-guard`) relax on fault runs — the
-/// fault checkers own the tightened assertions there.
-fn faults_active(cx: &CheckContext<'_>) -> bool {
-    cx.trace.iter().any(|e| {
-        matches!(
-            e,
-            TraceEvent::FaultInject { .. }
-                | TraceEvent::FaultRetry { .. }
-                | TraceEvent::FaultGiveUp { .. }
-                | TraceEvent::RuQuarantine { .. }
-                | TraceEvent::RuHeal { .. }
-        )
-    })
-}
-
-/// True when the trace or the workload leaves the strict-FIFO regime:
-/// priority lanes reorder activations and preemptions interleave
-/// graphs, so the order-sensitive checkers relax (their QoS-aware
-/// counterparts take over the tightened assertions).
-fn qos_active(cx: &CheckContext<'_>) -> bool {
-    cx.jobs.iter().any(|j| j.qos.priority != 0) || cx.trace.counts().preemptions > 0
-}
-
-/// Activation order: arrival time, ties broken by submission index
-/// (the engine's online queue is FIFO per instant).
-fn activation_order(jobs: &[JobSpec]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
-    order.sort_by_key(|&i| (jobs[i as usize].arrival, i));
-    order
-}
-
 /// Per-job design-time configuration sequences (the order placements
 /// follow).
 fn config_sequences(jobs: &[JobSpec]) -> Vec<Vec<ConfigId>> {
@@ -104,10 +83,10 @@ impl Checker for ArrivalOrder {
     fn description(&self) -> &'static str {
         "graphs activate sequentially in arrival order and all complete"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
         let jobs = cx.jobs;
-        let fifo = !qos_active(cx);
-        let expected_order = activation_order(jobs);
+        let fifo = !facts.qos_active;
+        let expected_order = &facts.activation_order;
         let mut graph_started: Vec<u32> = Vec::new();
         let mut last_ended: Option<(u32, SimTime)> = None;
         let mut ended = 0usize;
@@ -209,7 +188,7 @@ impl Checker for PortLanes {
     fn description(&self) -> &'static str {
         "single reconfiguration port serialised across demand and speculative lanes"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         let latency = cx.latency;
         let mut port_busy_until: Option<(SimTime, u32)> = None;
         // The single in-flight speculative load
@@ -217,7 +196,7 @@ impl Checker for PortLanes {
         // moves the window end forward.
         let mut pending_prefetch: Option<(ConfigId, SimTime, u16, bool)> = None;
         // Per-RU in-flight demand load `(config, window end, job, node)`.
-        let mut pending_load: HashMap<u16, (ConfigId, SimTime, u32, u32)> = HashMap::new();
+        let mut pending_load: RuMap<(ConfigId, SimTime, u32, u32)> = RuMap::default();
         for ev in cx.trace.iter() {
             match *ev {
                 TraceEvent::LoadStart {
@@ -250,7 +229,7 @@ impl Checker for PortLanes {
                     config,
                     ru,
                     at,
-                } => match pending_load.remove(&ru.0) {
+                } => match pending_load.remove(ru.0) {
                     Some((c, ends, j, n)) => {
                         out.probe(c == config && j == job && n == node.0, || {
                             format!("load end at {at} on {ru} does not match its start")
@@ -347,7 +326,7 @@ impl Checker for PortLanes {
                             *ends = until;
                             *retried = true;
                         }
-                        _ => match pending_load.get_mut(&ru.0) {
+                        _ => match pending_load.get_mut(ru.0) {
                             Some((c, ends, j, _)) => {
                                 out.probe(*c == config, || {
                                     format!(
@@ -370,7 +349,7 @@ impl Checker for PortLanes {
                 // abandons the load with no LoadEnd.
                 TraceEvent::FaultGiveUp { ru, at, .. } if !matches!(pending_prefetch, Some((_, _, r, _)) if r == ru.0) =>
                 {
-                    out.probe(pending_load.remove(&ru.0).is_some(), || {
+                    out.probe(pending_load.remove(ru.0).is_some(), || {
                         format!("fault give-up at {at} on {ru} with no load in flight")
                     });
                 }
@@ -396,19 +375,19 @@ impl Checker for RuIntervals {
     fn description(&self) -> &'static str {
         "per-RU load/exec intervals disjoint; prefetch never targets claimed RUs"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         let latency = cx.latency;
-        let mut ru_busy_until: HashMap<u16, SimTime> = HashMap::new();
+        let mut ru_busy_until: RuMap<SimTime> = RuMap::default();
         // Placed-but-not-finished tasks per RU (claimed residents —
         // never legal speculative-eviction targets), attributed to the
         // claiming job: a preemption revokes every claim its victim
         // holds (the resumed graph re-places them, emitting fresh
         // `Reuse`/`LoadEnd` events).
-        let mut ru_claims: HashMap<u16, Vec<u32>> = HashMap::new();
+        let mut ru_claims: RuMap<Vec<u32>> = RuMap::default();
         for ev in cx.trace.iter() {
             match *ev {
                 TraceEvent::LoadStart { ru, at, .. } => {
-                    if let Some(&busy) = ru_busy_until.get(&ru.0) {
+                    if let Some(&busy) = ru_busy_until.get(ru.0) {
                         out.probe(at >= busy, || {
                             format!("{ru} reloaded at {at} while busy until {busy}")
                         });
@@ -416,11 +395,11 @@ impl Checker for RuIntervals {
                     ru_busy_until.insert(ru.0, at + latency);
                 }
                 TraceEvent::LoadEnd { job, ru, .. } | TraceEvent::Reuse { job, ru, .. } => {
-                    ru_claims.entry(ru.0).or_default().push(job);
+                    ru_claims.entry_or_default(ru.0).push(job);
                 }
                 TraceEvent::ExecEnd { job, ru, at, .. } => {
                     ru_busy_until.insert(ru.0, at);
-                    if let Some(claims) = ru_claims.get_mut(&ru.0) {
+                    if let Some(claims) = ru_claims.get_mut(ru.0) {
                         if let Some(k) = claims.iter().position(|&j| j == job) {
                             claims.swap_remove(k);
                         }
@@ -432,12 +411,12 @@ impl Checker for RuIntervals {
                     }
                 }
                 TraceEvent::PrefetchStart { ru, at, .. } => {
-                    if let Some(&busy) = ru_busy_until.get(&ru.0) {
+                    if let Some(&busy) = ru_busy_until.get(ru.0) {
                         out.probe(at >= busy, || {
                             format!("{ru} speculatively reloaded at {at} while busy until {busy}")
                         });
                     }
-                    out.probe(ru_claims.get(&ru.0).is_none_or(Vec::is_empty), || {
+                    out.probe(ru_claims.get(ru.0).is_none_or(Vec::is_empty), || {
                         format!(
                             "speculative load at {at} targets {ru}, whose resident is \
                              claimed by a placed-but-unfinished task"
@@ -456,7 +435,7 @@ impl Checker for RuIntervals {
                 TraceEvent::RuQuarantine { ru, at, .. } => {
                     // Claims die with the unit (the engine revoked or
                     // released them); the unit returns empty at heal.
-                    ru_claims.remove(&ru.0);
+                    ru_claims.remove(ru.0);
                     ru_busy_until.insert(ru.0, at);
                 }
                 _ => {}
@@ -481,7 +460,89 @@ struct NodeLife {
     ru: Option<u16>,
     /// Expected duration of the *next* run, when a checkpoint changed
     /// it (`remainder + restore penalty`); `None` = design time.
-    expected: Option<rtr_sim::SimDuration>,
+    expected: Option<SimDuration>,
+}
+
+impl NodeLife {
+    /// Forgets the node's placement and run: it re-queues for a fresh
+    /// placement and replays in full.
+    fn revoke(&mut self) {
+        self.exec_start = None;
+        self.placed_at = None;
+        self.ru = None;
+        self.expected = None;
+    }
+}
+
+/// A node's key in [`Lives`]: its dense slot, or the raw ids of a pair
+/// outside the workload.
+#[derive(Debug, Clone, Copy)]
+enum LifeKey {
+    Slot(usize),
+    Stray(u32, u32),
+}
+
+/// Per-node lives of one run: a slot-indexed `Vec` (`None` = the trace
+/// never named the node) plus a map for pairs outside the workload.
+struct Lives {
+    dense: Vec<Option<NodeLife>>,
+    stray: BTreeMap<(u32, u32), NodeLife>,
+}
+
+impl Lives {
+    fn new(facts: &RunFacts) -> Self {
+        Self {
+            dense: vec![None; facts.slots()],
+            stray: BTreeMap::new(),
+        }
+    }
+
+    fn key(facts: &RunFacts, job: u32, node: u32) -> LifeKey {
+        match facts.slot(job, node) {
+            Some(s) => LifeKey::Slot(s),
+            None => LifeKey::Stray(job, node),
+        }
+    }
+
+    /// The life of `key`, started empty on first mention.
+    fn entry(&mut self, key: LifeKey) -> &mut NodeLife {
+        match key {
+            LifeKey::Slot(s) => self.dense[s].get_or_insert_with(NodeLife::default),
+            LifeKey::Stray(job, node) => self.stray.entry((job, node)).or_default(),
+        }
+    }
+
+    /// Calls `f` on every mentioned life in `(job, node)` order.
+    fn for_each_sorted(
+        self,
+        facts: &RunFacts,
+        jobs: usize,
+        mut f: impl FnMut(u32, u32, &NodeLife),
+    ) {
+        let mut stray = self.stray.into_iter().peekable();
+        for job in 0..jobs as u32 {
+            let slots = facts.job_slots(job).expect("a workload job has slots");
+            for (node, life) in self.dense[slots].iter().enumerate() {
+                if let Some(life) = life {
+                    f(job, node as u32, life);
+                }
+            }
+            // A stray pair of a known job names a node beyond its
+            // graph, so it sorts after the job's slots.
+            while let Some(((j, node), life)) = stray.next_if(|&((j, _), _)| j <= job) {
+                f(j, node, &life);
+            }
+        }
+        for ((job, node), life) in stray {
+            f(job, node, &life);
+        }
+    }
+}
+
+/// The design-time execution time of `node` in `spec`'s graph; `None`
+/// for a node beyond the graph.
+fn design_time(spec: &JobSpec, node: u32) -> Option<SimDuration> {
+    ((node as usize) < spec.graph.len()).then(|| spec.graph.exec_time(NodeId(node)))
 }
 
 impl Checker for TaskLifecycle {
@@ -491,11 +552,15 @@ impl Checker for TaskLifecycle {
     fn description(&self) -> &'static str {
         "every task placed once, executed once, for its design-time duration"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
         let jobs = cx.jobs;
-        // BTreeMap so the end-of-trace completeness sweep reports in a
-        // deterministic order (fingerprint replays must be byte-equal).
-        let mut life: BTreeMap<(u32, u32), NodeLife> = BTreeMap::new();
+        let mut life = Lives::new(facts);
+        // Nodes placed on each RU since its last hard fault: the only
+        // lives that fault can revoke. A life placed before that fault
+        // was either revoked by it or had finished, and `exec_end` is
+        // never cleared, so it can only qualify again by being placed
+        // on the RU again.
+        let mut placed_on: RuMap<Vec<LifeKey>> = RuMap::default();
         let mut graph_started: Vec<u32> = Vec::new();
         let mut execs = 0u64;
         for ev in cx.trace.iter() {
@@ -507,14 +572,16 @@ impl Checker for TaskLifecycle {
                 | TraceEvent::Reuse {
                     job, node, ru, at, ..
                 } => {
-                    let entry = life.entry((job, node.0)).or_default();
+                    let key = Lives::key(facts, job, node.0);
+                    let entry = life.entry(key);
                     entry.placed_at = Some(at);
                     entry.ru = Some(ru.0);
+                    placed_on.entry_or_default(ru.0).push(key);
                 }
                 TraceEvent::ExecStart {
                     job, node, ru, at, ..
                 } => {
-                    let entry = life.entry((job, node.0)).or_default();
+                    let entry = life.entry(Lives::key(facts, job, node.0));
                     out.probe(entry.exec_start.is_none(), || {
                         format!("node {node} of job {job} executed twice")
                     });
@@ -539,20 +606,21 @@ impl Checker for TaskLifecycle {
                 }
                 TraceEvent::ExecEnd { job, node, at, .. } => {
                     execs += 1;
-                    let entry = life.entry((job, node.0)).or_default();
+                    let entry = life.entry(Lives::key(facts, job, node.0));
                     match entry.exec_start {
                         Some(s) => match jobs.get(job as usize) {
                             Some(spec) => {
-                                let expected = entry
-                                    .expected
-                                    .take()
-                                    .unwrap_or_else(|| spec.graph.exec_time(NodeId(node.0)));
-                                out.probe(at.since(s) == expected, || {
-                                    format!(
-                                        "node {node} of job {job} ran {} (expected {expected})",
-                                        at.since(s)
-                                    )
-                                });
+                                match entry.expected.take().or_else(|| design_time(spec, node.0)) {
+                                    Some(expected) => out.probe(at.since(s) == expected, || {
+                                        format!(
+                                            "node {node} of job {job} ran {} (expected {expected})",
+                                            at.since(s)
+                                        )
+                                    }),
+                                    None => out.fail(format!(
+                                        "exec end for node {node} beyond the graph of job {job}"
+                                    )),
+                                }
                             }
                             None => {
                                 out.fail(format!("exec end for node {node} of unknown job {job}"))
@@ -568,17 +636,14 @@ impl Checker for TaskLifecycle {
                     entry.exec_end = Some(at);
                 }
                 TraceEvent::NodeKilled { job, node, at, .. } => {
-                    let entry = life.entry((job, node.0)).or_default();
+                    let entry = life.entry(Lives::key(facts, job, node.0));
                     out.probe(
                         entry.exec_start.is_some() && entry.exec_end.is_none(),
                         || format!("node {node} of job {job} killed at {at} but was not in flight"),
                     );
                     // The replay runs the full design time again from a
                     // fresh placement.
-                    entry.exec_start = None;
-                    entry.placed_at = None;
-                    entry.ru = None;
-                    entry.expected = None;
+                    entry.revoke();
                 }
                 TraceEvent::FaultInject {
                     kind: FaultKind::RuHard,
@@ -588,26 +653,23 @@ impl Checker for TaskLifecycle {
                     // The dead unit's live placement (claimed or
                     // executing) is revoked and the node re-queues for a
                     // fresh placement — reset its life like a kill.
-                    for entry in life.values_mut() {
+                    for key in placed_on.remove(ru.0).unwrap_or_default() {
+                        let entry = life.entry(key);
                         if entry.ru == Some(ru.0) && entry.exec_end.is_none() {
-                            entry.exec_start = None;
-                            entry.placed_at = None;
-                            entry.ru = None;
-                            entry.expected = None;
+                            entry.revoke();
                         }
                     }
                 }
                 TraceEvent::NodeCheckpointed { job, node, at, .. } => {
-                    let entry = life.entry((job, node.0)).or_default();
+                    let entry = life.entry(Lives::key(facts, job, node.0));
                     match entry.exec_start {
                         Some(s) => {
                             // The resumed run covers the remainder plus
                             // the restore penalty (one reconfiguration).
                             let expected = entry.expected.unwrap_or_else(|| {
                                 jobs.get(job as usize)
-                                    .map_or(rtr_sim::SimDuration::ZERO, |spec| {
-                                        spec.graph.exec_time(NodeId(node.0))
-                                    })
+                                    .and_then(|spec| design_time(spec, node.0))
+                                    .unwrap_or(SimDuration::ZERO)
                             });
                             entry.expected = Some((s + expected).since(at) + cx.latency);
                         }
@@ -622,12 +684,14 @@ impl Checker for TaskLifecycle {
                 _ => {}
             }
         }
-        // Every placed/executed node ran exactly once with a placement.
-        for ((job, node), l) in &life {
+        // Every placed/executed node ran exactly once with a placement,
+        // reported in `(job, node)` order so fingerprint replays are
+        // byte-equal.
+        life.for_each_sorted(facts, jobs.len(), |job, node, l| {
             out.probe(l.exec_start.is_some() && l.exec_end.is_some(), || {
                 format!("node {node} of job {job} never completed execution")
             });
-        }
+        });
         // Executed count matches the workload.
         let expected_execs: u64 = graph_started
             .iter()
@@ -649,19 +713,29 @@ impl Checker for Precedence {
     fn description(&self) -> &'static str {
         "no task starts before all its graph predecessors finished"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
         let jobs = cx.jobs;
-        let mut exec_end: HashMap<(u32, u32), SimTime> = HashMap::new();
+        // Last completion per slot. Only a workload node is ever looked
+        // up (as a predecessor), so an end outside the workload is
+        // dropped.
+        let mut exec_end: Vec<Option<SimTime>> = vec![None; facts.slots()];
         for ev in cx.trace.iter() {
             match *ev {
                 TraceEvent::ExecStart { job, node, at, .. } => {
-                    let Some(spec) = jobs.get(job as usize) else {
+                    let (Some(spec), Some(slots)) = (jobs.get(job as usize), facts.job_slots(job))
+                    else {
                         out.fail(format!("exec start for node {node} of unknown job {job}"));
                         continue;
                     };
-                    for &p in spec.graph.preds(NodeId(node.0)) {
-                        match exec_end.get(&(job, p.0)) {
-                            Some(&e) => out.probe(at >= e, || {
+                    if node.idx() >= spec.graph.len() {
+                        out.fail(format!(
+                            "exec start for node {node} beyond the graph of job {job}"
+                        ));
+                        continue;
+                    }
+                    for &p in spec.graph.preds(node) {
+                        match exec_end[slots.start + p.idx()] {
+                            Some(e) => out.probe(at >= e, || {
                                 format!(
                                     "node {node} of job {job} started at {at} before \
                                      predecessor {p} finished at {e}"
@@ -674,7 +748,9 @@ impl Checker for Precedence {
                     }
                 }
                 TraceEvent::ExecEnd { job, node, at, .. } => {
-                    exec_end.insert((job, node.0), at);
+                    if let Some(s) = facts.slot(job, node.0) {
+                        exec_end[s] = Some(at);
+                    }
                 }
                 _ => {}
             }
@@ -695,8 +771,8 @@ impl Checker for ReuseResidency {
     fn description(&self) -> &'static str {
         "reuse claims match residents; placements belong to the current graph"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let mut resident: HashMap<u16, ConfigId> = HashMap::new();
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
+        let mut resident: RuMap<ConfigId> = RuMap::default();
         let mut current_graph: Option<u32> = None;
         for ev in cx.trace.iter() {
             match *ev {
@@ -714,7 +790,7 @@ impl Checker for ReuseResidency {
                         )
                     });
                     // Eviction: the previous resident is gone.
-                    resident.remove(&ru.0);
+                    resident.remove(ru.0);
                 }
                 TraceEvent::LoadEnd { config, ru, .. } => {
                     resident.insert(ru.0, config);
@@ -729,10 +805,10 @@ impl Checker for ReuseResidency {
                     out.probe(current_graph == Some(job), || {
                         format!("reuse for job {job} at {at}: job is not current")
                     });
-                    out.probe(resident.get(&ru.0) == Some(&config), || {
+                    out.probe(resident.get(ru.0) == Some(&config), || {
                         format!(
                             "reuse of {config} on {ru} at {at} but resident is {:?}",
-                            resident.get(&ru.0)
+                            resident.get(ru.0)
                         )
                     });
                 }
@@ -746,10 +822,10 @@ impl Checker for ReuseResidency {
                     out.probe(current_graph == Some(job), || {
                         format!("exec start for job {job} at {at}: job is not current")
                     });
-                    out.probe(resident.get(&ru.0) == Some(&config), || {
+                    out.probe(resident.get(ru.0) == Some(&config), || {
                         format!(
                             "exec of {config} on {ru} at {at} but resident is {:?}",
-                            resident.get(&ru.0)
+                            resident.get(ru.0)
                         )
                     });
                 }
@@ -770,13 +846,13 @@ impl Checker for ReuseResidency {
                              planner only runs while a graph is current)"
                         )
                     });
-                    resident.remove(&ru.0);
+                    resident.remove(ru.0);
                 }
                 TraceEvent::PrefetchEnd { config, ru, .. } => {
                     resident.insert(ru.0, config);
                 }
                 TraceEvent::PrefetchCancel { ru, .. } => {
-                    resident.remove(&ru.0);
+                    resident.remove(ru.0);
                 }
                 TraceEvent::FaultInject {
                     kind: FaultKind::Upset,
@@ -785,10 +861,10 @@ impl Checker for ReuseResidency {
                 } => {
                     // The upset resident no longer counts as reusable;
                     // only a full rewrite re-establishes residency.
-                    resident.remove(&ru.0);
+                    resident.remove(ru.0);
                 }
                 TraceEvent::RuQuarantine { ru, .. } => {
-                    resident.remove(&ru.0);
+                    resident.remove(ru.0);
                 }
                 _ => {}
             }
@@ -811,22 +887,24 @@ impl Checker for PrefetchGuard {
     fn description(&self) -> &'static str {
         "speculative loads never evict a resident with a strictly nearer next use"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
         let jobs = cx.jobs;
         // Priority lanes, preemptions and fault-recovery re-queues
         // reorder the request stream dynamically; the linear
         // arrival-order model below would produce false positives, so
         // the guard only audits FIFO fault-free runs (the engine-side
         // slack guard covers the QoS regime).
-        if qos_active(cx) || faults_active(cx) {
+        if facts.qos_active || facts.faults_active {
             return;
         }
-        let expected_order = activation_order(jobs);
-        let mut resident: HashMap<u16, ConfigId> = HashMap::new();
+        let expected_order = &facts.activation_order;
+        let mut resident: RuMap<ConfigId> = RuMap::default();
         // Per-job count of placements (loads + reuses) — placements
         // follow the design-time reconfiguration sequence, so this is
-        // the cursor into the job's configuration sequence.
-        let mut placements: HashMap<u32, usize> = HashMap::new();
+        // the cursor into the job's configuration sequence. Only a
+        // workload job has a sequence to walk, so placements of a job
+        // outside it are dropped.
+        let mut placements = vec![0usize; jobs.len()];
         // Configuration sequences, derived lazily: only traces with
         // speculative loads pay for the design-time recomputation.
         let mut cfg_seqs: Option<Vec<Vec<ConfigId>>> = None;
@@ -840,19 +918,23 @@ impl Checker for PrefetchGuard {
                 }
                 TraceEvent::GraphEnd { .. } => current_graph = None,
                 TraceEvent::LoadStart { ru, .. } => {
-                    resident.remove(&ru.0);
+                    resident.remove(ru.0);
                 }
                 TraceEvent::LoadEnd {
                     job, config, ru, ..
                 } => {
                     resident.insert(ru.0, config);
-                    *placements.entry(job).or_default() += 1;
+                    if let Some(n) = placements.get_mut(job as usize) {
+                        *n += 1;
+                    }
                 }
                 TraceEvent::Reuse { job, .. } => {
-                    *placements.entry(job).or_default() += 1;
+                    if let Some(n) = placements.get_mut(job as usize) {
+                        *n += 1;
+                    }
                 }
                 TraceEvent::PrefetchStart { config, ru, at } => {
-                    let evicted = resident.remove(&ru.0);
+                    let evicted = resident.remove(ru.0);
                     let seqs = cfg_seqs.get_or_insert_with(|| config_sequences(jobs));
                     // Walk the remaining request stream (current
                     // graph's unplaced tail, then every not-yet-started
@@ -866,7 +948,7 @@ impl Checker for PrefetchGuard {
                     let mut victim_next: Option<usize> = None;
                     let cur_tail = current_graph.and_then(|cur| {
                         let seq = seqs.get(cur as usize)?;
-                        let done = placements.get(&cur).copied().unwrap_or(0);
+                        let done = placements[cur as usize];
                         Some(&seq[done.min(seq.len())..])
                     });
                     let rest = expected_order
@@ -909,7 +991,7 @@ impl Checker for PrefetchGuard {
                     resident.insert(ru.0, config);
                 }
                 TraceEvent::PrefetchCancel { ru, .. } => {
-                    resident.remove(&ru.0);
+                    resident.remove(ru.0);
                 }
                 _ => {}
             }
@@ -929,9 +1011,9 @@ impl Checker for CounterEquality {
     fn description(&self) -> &'static str {
         "RunStats event counters equal the trace tallies"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
         let Some(s) = cx.stats else { return };
-        let c = cx.trace.counts();
+        let c = facts.counts;
         out.probe(s.loads == c.loads, || {
             format!("stats.loads {} != trace {}", s.loads, c.loads)
         });
@@ -991,11 +1073,11 @@ impl Checker for TrafficEquality {
     fn description(&self) -> &'static str {
         "RunStats traffic, port busy time and makespan equal the trace"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
         let Some(s) = cx.stats else { return };
         let latency = cx.latency;
         // Port write time actually spent (vs `port_busy_time`).
-        let mut port_busy_total = rtr_sim::SimDuration::ZERO;
+        let mut port_busy_total = SimDuration::ZERO;
         // In-flight speculative load: `(ru, current write-window start)`
         // — a backoff retry moves the window.
         let mut spec: Option<(u16, SimTime)> = None;
@@ -1039,7 +1121,7 @@ impl Checker for TrafficEquality {
                 _ => {}
             }
         }
-        let c = cx.trace.counts();
+        let c = facts.counts;
         out.probe(
             s.traffic.loads == c.loads + demand_retries
                 && s.traffic.reuses == c.reuses
@@ -1084,8 +1166,8 @@ impl Checker for PrefetchAccounting {
     fn description(&self) -> &'static str {
         "issued = completed + cancelled; hits + wasted never exceed completions"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let c = cx.trace.counts();
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
+        let c = facts.counts;
         out.probe(
             c.prefetch_issued == c.prefetch_completed + c.prefetch_cancelled,
             || {
@@ -1153,7 +1235,7 @@ impl Checker for PrefetchOffInvisible {
     fn description(&self) -> &'static str {
         "depth 0 records no speculative events and zeroed prefetch counters"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         if cx.prefetch_depth != Some(0) {
             return;
         }
@@ -1199,54 +1281,60 @@ impl Checker for NoLostWork {
     fn description(&self) -> &'static str {
         "every node of a completed graph finished exactly once; revocations replayed"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let jobs = cx.jobs;
-        let mut starts: HashMap<(u32, u32), u64> = HashMap::new();
-        let mut ends: HashMap<(u32, u32), u64> = HashMap::new();
-        let mut revoked: HashMap<(u32, u32), u64> = HashMap::new();
-        // In-flight execution per RU, so a hard fault's implicit kill
-        // is booked as a revocation (no NodeKilled event is emitted —
-        // the FaultInject carries the consequence).
-        let mut inflight: HashMap<u16, (u32, u32)> = HashMap::new();
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
+        // Per-slot tallies. Only a workload node is ever read back (at
+        // its graph's end), so events outside the workload are dropped.
+        let mut tally: Vec<NodeTally> = vec![NodeTally::default(); facts.slots()];
+        // In-flight execution per RU (its slot; `None` outside the
+        // workload), so a hard fault's implicit kill is booked as a
+        // revocation (no NodeKilled event is emitted — the FaultInject
+        // carries the consequence).
+        let mut inflight: RuMap<Option<usize>> = RuMap::default();
         for ev in cx.trace.iter() {
             match *ev {
                 TraceEvent::ExecStart { job, node, ru, .. } => {
-                    *starts.entry((job, node.0)).or_default() += 1;
-                    inflight.insert(ru.0, (job, node.0));
+                    let slot = facts.slot(job, node.0);
+                    if let Some(s) = slot {
+                        tally[s].starts += 1;
+                    }
+                    inflight.insert(ru.0, slot);
                 }
                 TraceEvent::ExecEnd { job, node, ru, .. } => {
-                    *ends.entry((job, node.0)).or_default() += 1;
-                    inflight.remove(&ru.0);
+                    if let Some(s) = facts.slot(job, node.0) {
+                        tally[s].ends += 1;
+                    }
+                    inflight.remove(ru.0);
                 }
                 TraceEvent::NodeKilled { job, node, ru, .. }
                 | TraceEvent::NodeCheckpointed { job, node, ru, .. } => {
-                    *revoked.entry((job, node.0)).or_default() += 1;
-                    inflight.remove(&ru.0);
+                    if let Some(s) = facts.slot(job, node.0) {
+                        tally[s].revoked += 1;
+                    }
+                    inflight.remove(ru.0);
                 }
                 TraceEvent::FaultInject {
                     kind: FaultKind::RuHard,
                     ru,
                     ..
                 } => {
-                    if let Some(key) = inflight.remove(&ru.0) {
-                        *revoked.entry(key).or_default() += 1;
+                    if let Some(Some(s)) = inflight.remove(ru.0) {
+                        tally[s].revoked += 1;
                     }
                 }
                 TraceEvent::GraphEnd { job, at } => {
-                    let Some(spec) = jobs.get(job as usize) else {
+                    let Some(slots) = facts.job_slots(job) else {
                         out.fail(format!("graph end at {at} for unknown job {job}"));
                         continue;
                     };
-                    for n in 0..spec.graph.len() as u32 {
-                        let e = ends.get(&(job, n)).copied().unwrap_or(0);
+                    for (n, t) in tally[slots].iter().enumerate() {
+                        let e = t.ends;
                         out.probe(e == 1, || {
                             format!(
                                 "graph {job} completed at {at} but node {n} finished \
                                  {e} times (expected exactly once)"
                             )
                         });
-                        let st = starts.get(&(job, n)).copied().unwrap_or(0);
-                        let rv = revoked.get(&(job, n)).copied().unwrap_or(0);
+                        let (st, rv) = (t.starts, t.revoked);
                         out.probe(st == 1 + rv, || {
                             format!(
                                 "graph {job} node {n}: {st} execution starts for {rv} \
@@ -1262,6 +1350,14 @@ impl Checker for NoLostWork {
     }
 }
 
+/// One node's execution tallies in `no-lost-work`.
+#[derive(Debug, Default, Clone, Copy)]
+struct NodeTally {
+    starts: u64,
+    ends: u64,
+    revoked: u64,
+}
+
 /// Preemptions respect the priority lattice: a preemptor's lane
 /// priority is strictly above its victim's, the suspended stack is
 /// LIFO with priorities increasing toward the top, and every
@@ -1275,7 +1371,7 @@ impl Checker for PreemptionOrder {
     fn description(&self) -> &'static str {
         "preemptor priority strictly above victim; LIFO suspend/resume, all resumed"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         let jobs = cx.jobs;
         let prio = |j: u32| -> Option<u8> { jobs.get(j as usize).map(|spec| spec.qos.priority) };
         // The suspended stack as the trace implies it: victims pushed
@@ -1346,10 +1442,10 @@ impl Checker for QosAccounting {
     fn description(&self) -> &'static str {
         "stats QoS counters equal the trace; per-class rows sum to totals"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
         let Some(s) = cx.stats else { return };
         let q = &s.qos;
-        let c = cx.trace.counts();
+        let c = facts.counts;
         out.probe(q.preemptions == c.preemptions, || {
             format!(
                 "stats.qos.preemptions {} != trace {}",
@@ -1376,7 +1472,7 @@ impl Checker for QosAccounting {
         });
         // Re-derive the deadline ledger from completions vs specs.
         let mut misses = 0u64;
-        let mut tardiness = rtr_sim::SimDuration::ZERO;
+        let mut tardiness = SimDuration::ZERO;
         let mut completed = 0u64;
         for ev in cx.trace.iter() {
             if let TraceEvent::GraphEnd { job, at } = *ev {
@@ -1428,12 +1524,12 @@ impl Checker for FaultRetryBounded {
     fn description(&self) -> &'static str {
         "corrupt loads retry with bounded exponential backoff, then quarantine"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         let latency = cx.latency;
         // Unresolved corrupt completion per RU: `(config, instant)`.
-        let mut open: HashMap<u16, (Option<ConfigId>, SimTime)> = HashMap::new();
+        let mut open: RuMap<(Option<ConfigId>, SimTime)> = RuMap::default();
         // Attempts burned on the RU's in-flight load so far.
-        let mut attempts: HashMap<u16, u8> = HashMap::new();
+        let mut attempts: RuMap<u8> = RuMap::default();
         // A give-up whose RuQuarantine has not arrived yet.
         let mut due_quarantine: Option<(u16, SimTime)> = None;
         for ev in cx.trace.iter() {
@@ -1444,7 +1540,7 @@ impl Checker for FaultRetryBounded {
                     config,
                     at,
                 } => {
-                    out.probe(!open.contains_key(&ru.0), || {
+                    out.probe(!open.contains_key(ru.0), || {
                         format!(
                             "corrupt completion on {ru} at {at} while an earlier one \
                              is still unresolved"
@@ -1459,7 +1555,7 @@ impl Checker for FaultRetryBounded {
                     until,
                     at,
                 } => {
-                    match open.remove(&ru.0) {
+                    match open.remove(ru.0) {
                         Some((c, t)) => out.probe(c == Some(config) && t == at, || {
                             format!(
                                 "retry of {config} on {ru} at {at} does not match the \
@@ -1470,7 +1566,7 @@ impl Checker for FaultRetryBounded {
                             "retry of {config} on {ru} at {at} without a corrupt completion"
                         )),
                     }
-                    let prev = attempts.get(&ru.0).copied().unwrap_or(0);
+                    let prev = attempts.get(ru.0).copied().unwrap_or(0);
                     out.probe(attempt == prev + 1, || {
                         format!(
                             "retry attempt {attempt} on {ru} at {at} does not follow \
@@ -1504,7 +1600,7 @@ impl Checker for FaultRetryBounded {
                     attempts: total,
                     at,
                 } => {
-                    match open.remove(&ru.0) {
+                    match open.remove(ru.0) {
                         Some((c, t)) => out.probe(c == Some(config) && t == at, || {
                             format!(
                                 "give-up of {config} on {ru} at {at} does not match the \
@@ -1515,7 +1611,7 @@ impl Checker for FaultRetryBounded {
                             "give-up of {config} on {ru} at {at} without a corrupt completion"
                         )),
                     }
-                    let prev = attempts.remove(&ru.0).unwrap_or(0);
+                    let prev = attempts.remove(ru.0).unwrap_or(0);
                     out.probe(total == prev + 1, || {
                         format!(
                             "give-up on {ru} at {at} reports {total} attempts after \
@@ -1543,17 +1639,17 @@ impl Checker for FaultRetryBounded {
                     due_quarantine = None;
                 }
                 TraceEvent::LoadEnd { ru, at, .. } | TraceEvent::PrefetchEnd { ru, at, .. } => {
-                    out.probe(!open.contains_key(&ru.0), || {
+                    out.probe(!open.contains_key(ru.0), || {
                         format!(
                             "clean completion on {ru} at {at} while a corrupt one is \
                              unresolved"
                         )
                     });
-                    attempts.remove(&ru.0);
+                    attempts.remove(ru.0);
                 }
                 TraceEvent::PrefetchCancel { ru, .. } => {
                     // A cancelled speculative retry abandons the load.
-                    attempts.remove(&ru.0);
+                    attempts.remove(ru.0);
                 }
                 _ => {}
             }
@@ -1579,20 +1675,20 @@ impl Checker for QuarantineIsolation {
     fn description(&self) -> &'static str {
         "no event targets a quarantined RU; quarantines and heals pair up"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let mut quarantined: HashSet<u16> = HashSet::new();
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
+        let mut quarantined = RuSet::default();
         let mut quarantines = 0u64;
         let mut heals = 0u64;
         for ev in cx.trace.iter() {
             match *ev {
                 TraceEvent::RuQuarantine { ru, at } => {
-                    out.probe(quarantined.insert(ru.0), || {
+                    out.probe(quarantined.insert(ru.0, ()).is_none(), || {
                         format!("{ru} quarantined at {at} but is already out of the pool")
                     });
                     quarantines += 1;
                 }
                 TraceEvent::RuHeal { ru, at } => {
-                    out.probe(quarantined.remove(&ru.0), || {
+                    out.probe(quarantined.remove(ru.0).is_some(), || {
                         format!("{ru} healed at {at} but was not quarantined")
                     });
                     heals += 1;
@@ -1610,7 +1706,7 @@ impl Checker for QuarantineIsolation {
                 | TraceEvent::FaultGiveUp { ru, at, .. }
                 | TraceEvent::NodeKilled { ru, at, .. }
                 | TraceEvent::NodeCheckpointed { ru, at, .. } => {
-                    out.probe(!quarantined.contains(&ru.0), || {
+                    out.probe(!quarantined.contains_key(ru.0), || {
                         format!("{} targets quarantined {ru} at {at}", ev.kind_name())
                     });
                 }
@@ -1635,8 +1731,8 @@ impl Checker for CorruptNeverReused {
     fn description(&self) -> &'static str {
         "upset residents are never reused or executed before a rewrite"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let mut corrupt: HashSet<u16> = HashSet::new();
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
+        let mut corrupt = RuSet::default();
         let mut upsets = 0u64;
         for ev in cx.trace.iter() {
             match *ev {
@@ -1646,7 +1742,7 @@ impl Checker for CorruptNeverReused {
                     at,
                     ..
                 } => {
-                    out.probe(corrupt.insert(ru.0), || {
+                    out.probe(corrupt.insert(ru.0, ()).is_none(), || {
                         format!("upset at {at} hit {ru}, whose resident is already corrupt")
                     });
                     upsets += 1;
@@ -1656,15 +1752,15 @@ impl Checker for CorruptNeverReused {
                 TraceEvent::LoadStart { ru, .. }
                 | TraceEvent::PrefetchStart { ru, .. }
                 | TraceEvent::RuQuarantine { ru, .. } => {
-                    corrupt.remove(&ru.0);
+                    corrupt.remove(ru.0);
                 }
                 TraceEvent::Reuse { ru, at, .. } => {
-                    out.probe(!corrupt.contains(&ru.0), || {
+                    out.probe(!corrupt.contains_key(ru.0), || {
                         format!("reuse claim on {ru} at {at} of an upset (corrupt) resident")
                     });
                 }
                 TraceEvent::ExecStart { ru, at, .. } => {
-                    out.probe(!corrupt.contains(&ru.0), || {
+                    out.probe(!corrupt.contains_key(ru.0), || {
                         format!("execution start on {ru} at {at} over an upset resident")
                     });
                 }
@@ -1693,8 +1789,8 @@ impl Checker for FaultAccounting {
     fn description(&self) -> &'static str {
         "stats fault counters equal the trace; degraded time and lost work re-derive"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let c = cx.trace.counts();
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput) {
+        let c = facts.counts;
         out.probe(
             c.fault_injected == c.fault_transients + c.fault_upsets + c.fault_ru,
             || {
@@ -1717,11 +1813,11 @@ impl Checker for FaultAccounting {
             )
         });
         // Re-derive the degraded-pool clock and the lost work.
-        let mut degraded = rtr_sim::SimDuration::ZERO;
+        let mut degraded = SimDuration::ZERO;
         let mut since: Option<SimTime> = None;
         let mut depth = 0u32;
-        let mut lost = rtr_sim::SimDuration::ZERO;
-        let mut exec_started: HashMap<u16, SimTime> = HashMap::new();
+        let mut lost = SimDuration::ZERO;
+        let mut exec_started: RuMap<SimTime> = RuMap::default();
         for ev in cx.trace.iter() {
             match *ev {
                 TraceEvent::RuQuarantine { at, .. } => {
@@ -1744,7 +1840,7 @@ impl Checker for FaultAccounting {
                 TraceEvent::ExecEnd { ru, .. }
                 | TraceEvent::NodeKilled { ru, .. }
                 | TraceEvent::NodeCheckpointed { ru, .. } => {
-                    exec_started.remove(&ru.0);
+                    exec_started.remove(ru.0);
                 }
                 TraceEvent::FaultInject {
                     kind: FaultKind::RuHard,
@@ -1752,7 +1848,7 @@ impl Checker for FaultAccounting {
                     at,
                     ..
                 } => {
-                    if let Some(s) = exec_started.remove(&ru.0) {
+                    if let Some(s) = exec_started.remove(ru.0) {
                         lost += at.since(s);
                     }
                 }
@@ -1823,7 +1919,7 @@ impl Checker for PooledIdentity {
     fn description(&self) -> &'static str {
         "run is bit-exact with the reference outcome (stats and trace)"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         let Some(reference) = cx.reference else {
             return;
         };
@@ -1899,7 +1995,7 @@ impl Checker for TenantIsolation {
     fn description(&self) -> &'static str {
         "a tenant over quota never starves tenants below quota"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         let Some(fleet) = cx.fleet else {
             return; // single-device run: nothing to isolate
         };
@@ -1953,7 +2049,7 @@ impl Checker for PlacementResidency {
     fn description(&self) -> &'static str {
         "placement scores replay exactly; reuse-affinity routed to a best-overlap device"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         let Some(fleet) = cx.fleet else {
             return;
         };
@@ -2036,7 +2132,7 @@ impl Checker for FleetAccounting {
     fn description(&self) -> &'static str {
         "FleetStats equals the sum of the per-device RunStats ledgers"
     }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
+    fn check(&self, cx: &CheckContext<'_>, _: &RunFacts, out: &mut CheckOutput) {
         let Some(fleet) = cx.fleet else {
             return;
         };

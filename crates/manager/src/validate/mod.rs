@@ -79,6 +79,12 @@
 //!   per-tenant rows sum to the totals, and the admission event stream
 //!   re-derives the submitted/admitted/rejected counters.
 //!
+//! [`CheckerRegistry::run`] derives the facts several checkers share
+//! ([`RunFacts`]: the trace's event tallies, the fault and QoS regime
+//! flags, the activation order and the dense `(job, node)` slot
+//! numbering) once per run and hands them to every checker, so no
+//! checker re-walks the trace to learn them.
+//!
 //! [`validate_trace`] and [`assert_valid`] keep the original one-call
 //! interface: they run every checker of the standard registry and
 //! flatten the violations.
@@ -92,9 +98,10 @@ use crate::fleet::FleetCheckInfo;
 use crate::job::JobSpec;
 use crate::manager::SimulationOutcome;
 use crate::stats::RunStats;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceCounts};
 use rtr_sim::SimDuration;
 use std::fmt;
+use std::ops::Range;
 
 /// A violated invariant, with human-readable context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,6 +191,89 @@ impl<'a> CheckContext<'a> {
     }
 }
 
+/// Facts about one run that several checkers need, derived once per
+/// [`CheckerRegistry::run`] and handed to every checker.
+///
+/// The slot numbering gives node `n` of job `j` the dense index
+/// `Σ graph.len()` over jobs `0..j`, plus `n`, so per-node checker
+/// state lives in a `Vec` instead of a map keyed by `(job, node)`. A
+/// pair outside the workload (an unknown job, or a node beyond its
+/// job's graph — only fabricated or deserialised traces name one) has
+/// no slot.
+#[derive(Debug)]
+pub struct RunFacts {
+    /// Event-kind totals of the trace.
+    pub(crate) counts: TraceCounts,
+    /// True when the trace records any fault-subsystem event. The
+    /// recovery-lane re-queues reorder the demand request stream, so
+    /// the linear-stream checkers (`prefetch-guard`) relax on fault
+    /// runs; the fault checkers own the tightened assertions there.
+    pub(crate) faults_active: bool,
+    /// True when the workload or the trace leaves the strict-FIFO
+    /// regime (a non-zero lane priority or a preemption): priority
+    /// lanes reorder activations and preemptions interleave graphs, so
+    /// the order-sensitive checkers relax and their QoS-aware
+    /// counterparts take over the tightened assertions.
+    pub(crate) qos_active: bool,
+    /// Job indices in activation order: arrival time, ties broken by
+    /// submission index (the engine's online queue is FIFO per
+    /// instant).
+    pub(crate) activation_order: Vec<u32>,
+    /// First slot of each job, then the total slot count.
+    slot_base: Vec<usize>,
+}
+
+impl RunFacts {
+    /// Derives the facts of `cx` in one walk of the trace and one of
+    /// the jobs.
+    pub(crate) fn new(cx: &CheckContext<'_>) -> Self {
+        let counts = cx.trace.counts();
+        let faults_active = counts.fault_injected
+            + counts.fault_retries
+            + counts.fault_giveups
+            + counts.ru_quarantines
+            + counts.ru_heals
+            > 0;
+        let qos_active = counts.preemptions > 0 || cx.jobs.iter().any(|j| j.qos.priority != 0);
+        let mut activation_order: Vec<u32> = (0..cx.jobs.len() as u32).collect();
+        activation_order.sort_by_key(|&i| (cx.jobs[i as usize].arrival, i));
+        let mut slot_base = Vec::with_capacity(cx.jobs.len() + 1);
+        let mut next = 0usize;
+        slot_base.push(next);
+        for job in cx.jobs {
+            next += job.graph.len();
+            slot_base.push(next);
+        }
+        Self {
+            counts,
+            faults_active,
+            qos_active,
+            activation_order,
+            slot_base,
+        }
+    }
+
+    /// Number of `(job, node)` slots of the workload.
+    pub(crate) fn slots(&self) -> usize {
+        self.slot_base.last().copied().unwrap_or(0)
+    }
+
+    /// The slots of `job`'s nodes, in node order; `None` for a job
+    /// outside the workload.
+    pub(crate) fn job_slots(&self, job: u32) -> Option<Range<usize>> {
+        let j = job as usize;
+        Some(*self.slot_base.get(j)?..*self.slot_base.get(j + 1)?)
+    }
+
+    /// The slot of node `node` of job `job`; `None` when the pair lies
+    /// outside the workload.
+    pub(crate) fn slot(&self, job: u32, node: u32) -> Option<usize> {
+        let slots = self.job_slots(job)?;
+        let s = slots.start + node as usize;
+        (s < slots.end).then_some(s)
+    }
+}
+
 /// Accumulates one checker's activity: how many assertions it actually
 /// evaluated (`fired`) and which of them failed. A checker that never
 /// fires on a whole campaign is a silent hole — the anti-vacuity test
@@ -223,15 +313,16 @@ impl CheckOutput {
 }
 
 /// One named invariant. Implementations walk the trace with their own
-/// local state, so each checker can be enabled, disabled and counted
-/// independently.
+/// local state on top of the run's shared [`RunFacts`], so each checker
+/// can be enabled, disabled and counted independently.
 pub trait Checker: Send + Sync {
     /// Stable kebab-case name (CLI flag / coverage key).
     fn name(&self) -> &'static str;
     /// One-line human description for `vopr --list`.
     fn description(&self) -> &'static str;
-    /// Walks `cx.trace` and records probes/violations in `out`.
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput);
+    /// Walks `cx.trace` and records probes/violations in `out`;
+    /// `facts` are derived from `cx`.
+    fn check(&self, cx: &CheckContext<'_>, facts: &RunFacts, out: &mut CheckOutput);
 }
 
 /// One checker's result for one validated run.
@@ -378,15 +469,17 @@ impl CheckerRegistry {
         }
     }
 
-    /// Runs every enabled checker over `cx`.
+    /// Runs every enabled checker over `cx`, deriving the shared
+    /// [`RunFacts`] once for all of them.
     pub fn run(&self, cx: &CheckContext<'_>) -> RegistryReport {
+        let facts = RunFacts::new(cx);
         let mut report = RegistryReport::default();
         for (checker, enabled) in &self.entries {
             if !enabled {
                 continue;
             }
             let mut out = CheckOutput::default();
-            checker.check(cx, &mut out);
+            checker.check(cx, &facts, &mut out);
             report.outcomes.push(CheckerOutcome {
                 name: checker.name(),
                 fired: out.fired,

@@ -5,14 +5,15 @@
 //! smoke run's coverage gate.
 
 use rtr_core::LfdPolicy;
+use rtr_hw::RuId;
 use rtr_manager::{
-    simulate, simulate_fleet, CheckContext, CheckerRegistry, FleetConfig, FleetOutcome, JobSpec,
-    Lookahead, ManagerConfig, PlacementKind, PrefetchConfig, ReplacementPolicy, SimulationOutcome,
-    TenantId,
+    simulate, simulate_fleet, CheckContext, CheckerRegistry, FaultKind, FaultPlan, FleetConfig,
+    FleetOutcome, JobSpec, Lookahead, ManagerConfig, PlacementKind, PrefetchConfig, RegistryReport,
+    ReplacementPolicy, SimulationOutcome, TenantId, Trace, TraceEvent,
 };
-use rtr_sim::SimDuration;
-use rtr_taskgraph::{benchmarks, TaskGraph};
-use rtr_workload::{ArrivalProcess, SequenceModel};
+use rtr_sim::{SimDuration, SimTime};
+use rtr_taskgraph::{benchmarks, ConfigId, NodeId, TaskGraph};
+use rtr_workload::{ArrivalProcess, QosSpec, SequenceModel};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -247,4 +248,283 @@ fn disabling_a_checker_silences_only_that_checker() {
         CheckerRegistry::standard().names().len() - 1
     );
     assert!(report.is_clean());
+}
+
+/// The stream the fired-count golden pins: 1,000 multimedia jobs with
+/// Poisson arrivals (mean gap 70 ms) on 4 RUs, every 4th job promoted
+/// to priority 1 with a 300% deadline, prefetch depth 2, and the low
+/// fault plan's resident upsets and RU hard faults (no load
+/// corruption).
+fn fired_golden_stream() -> (ManagerConfig, Vec<JobSpec>, SimulationOutcome) {
+    const RUS: usize = 4;
+    let suite: Vec<Arc<TaskGraph>> = benchmarks::multimedia_suite()
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let sequence = SequenceModel::UniformRandom.generate(&suite, 1_000, 2024);
+    let arrivals = ArrivalProcess::Poisson {
+        mean_gap_us: 70_000,
+    }
+    .generate(1_000, 2025);
+    let classes = QosSpec::strided(4, 1, 300)
+        .assign(&sequence, &arrivals, RUS)
+        .expect("a strided spec assigns classes");
+    let low = FaultPlan::low(2026);
+    let cfg = ManagerConfig::paper_default()
+        .with_rus(RUS)
+        .with_prefetch(PrefetchConfig::with_depth(2))
+        .with_faults(low.with_load_faults(0, low.max_retries))
+        .with_trace(true);
+    let jobs: Vec<JobSpec> = sequence
+        .iter()
+        .zip(arrivals)
+        .zip(classes)
+        .map(|((g, at), qos)| JobSpec::new(Arc::clone(g)).with_arrival(at).with_qos(qos))
+        .collect();
+    let out = simulate(&cfg, &jobs, &mut LfdPolicy::local(1)).expect("the stream completes");
+    (cfg, jobs, out)
+}
+
+/// Every checker's fired count on one seeded fault-and-QoS stream,
+/// pinned byte for byte: a change to how the registry walks a trace
+/// must evaluate exactly the same assertions.
+#[test]
+fn fired_counts_are_pinned_on_a_seeded_stream() {
+    let (cfg, jobs, out) = fired_golden_stream();
+    let c = out.trace.counts();
+    assert!(
+        c.prefetch_issued > 0 && c.fault_upsets > 0 && c.fault_ru > 0,
+        "the stream must exercise prefetch, upsets and RU hard faults: {c:?}"
+    );
+    let cx = CheckContext::new(
+        &out.trace,
+        &jobs,
+        cfg.device.reconfig_latency,
+        Some(&out.stats),
+    )
+    .with_prefetch_depth(cfg.prefetch.depth)
+    .with_fault_plan(&cfg.faults);
+    let report = CheckerRegistry::standard().run(&cx);
+    assert_eq!(report.render(), FIRED_GOLDEN);
+}
+
+const FIRED_GOLDEN: &str = concat!(
+    "checker arrival-order: fired=5000 violations=0\n",
+    "checker port-lanes: fired=19624 violations=0\n",
+    "checker ru-intervals: fired=6740 violations=0\n",
+    "checker task-lifecycle: fired=30037 violations=0\n",
+    "checker precedence: fired=4346 violations=0\n",
+    "checker reuse-residency: fired=19905 violations=0\n",
+    "checker prefetch-guard: fired=0 violations=0\n",
+    "checker counter-equality: fired=7 violations=0\n",
+    "checker traffic-equality: fired=3 violations=0\n",
+    "checker prefetch-accounting: fired=4 violations=0\n",
+    "checker prefetch-off-invisible: fired=0 violations=0\n",
+    "checker no-lost-work: fired=10004 violations=0\n",
+    "checker preemption-order: fired=1 violations=0\n",
+    "checker qos-accounting: fired=8 violations=0\n",
+    "checker fault-retry-bounded: fired=4899 violations=0\n",
+    "checker quarantine-isolation: fired=21888 violations=0\n",
+    "checker corrupt-never-reused: fired=7005 violations=0\n",
+    "checker fault-accounting: fired=11 violations=0\n",
+    "checker pooled-identity: fired=0 violations=0\n",
+    "checker tenant-isolation: fired=0 violations=0\n",
+    "checker placement-residency: fired=0 violations=0\n",
+    "checker fleet-accounting: fired=0 violations=0\n",
+);
+
+/// A node event of `kind` (`load`, `reuse`, `start`, `end` or `kill`)
+/// for node `node` of job `job` on the RU with index `ru`, at `ms`.
+/// Node `n` holds configuration `10 + n`, as in the JPEG graph.
+fn node_event(kind: &str, job: u32, node: u32, ru: u16, ms: u64) -> TraceEvent {
+    let (node, config, ru, at) = (
+        NodeId(node),
+        ConfigId(10 + node),
+        RuId(ru),
+        SimTime::from_ms(ms),
+    );
+    match kind {
+        "load" => TraceEvent::LoadEnd {
+            job,
+            node,
+            config,
+            ru,
+            at,
+        },
+        "reuse" => TraceEvent::Reuse {
+            job,
+            node,
+            config,
+            ru,
+            at,
+        },
+        "start" => TraceEvent::ExecStart {
+            job,
+            node,
+            config,
+            ru,
+            at,
+        },
+        "end" => TraceEvent::ExecEnd {
+            job,
+            node,
+            config,
+            ru,
+            at,
+        },
+        "kill" => TraceEvent::NodeKilled { job, node, ru, at },
+        _ => unreachable!("unknown node event kind {kind}"),
+    }
+}
+
+fn ru_hard_fault(ru: u16, ms: u64) -> TraceEvent {
+    TraceEvent::FaultInject {
+        kind: FaultKind::RuHard,
+        ru: RuId(ru),
+        config: None,
+        at: SimTime::from_ms(ms),
+    }
+}
+
+/// One JPEG job (chain n0 → n1 → n2 → n3, 21/15/26/17 ms) whose nodes
+/// move between RUs around three hard faults. n0 is killed on RU1 and
+/// re-placed on RU3 before RU1 dies; n1 is placed on RU2 and still
+/// waiting when RU2 dies, so it is re-placed on RU4; n0 and n2 have
+/// both finished on RU3 when RU3 dies. `n1_replaced` = false lets n1
+/// run on dead RU2 without the re-placement.
+fn hard_fault_trace(n1_replaced: bool) -> Trace {
+    let mut events = vec![
+        TraceEvent::GraphStart {
+            job: 0,
+            at: SimTime::ZERO,
+        },
+        node_event("load", 0, 0, 0, 0),
+        node_event("start", 0, 0, 0, 0),
+        node_event("kill", 0, 0, 0, 1),
+        node_event("load", 0, 0, 2, 4),
+        node_event("start", 0, 0, 2, 4),
+        node_event("load", 0, 1, 1, 5),
+        ru_hard_fault(0, 6),
+        ru_hard_fault(1, 6),
+        node_event("end", 0, 0, 2, 25),
+    ];
+    if n1_replaced {
+        events.extend([
+            node_event("load", 0, 1, 3, 25),
+            node_event("start", 0, 1, 3, 25),
+            node_event("end", 0, 1, 3, 40),
+        ]);
+    } else {
+        events.extend([
+            node_event("start", 0, 1, 1, 25),
+            node_event("end", 0, 1, 1, 40),
+        ]);
+    }
+    events.extend([
+        node_event("load", 0, 2, 2, 40),
+        node_event("start", 0, 2, 2, 40),
+        node_event("end", 0, 2, 2, 66),
+        node_event("load", 0, 3, 3, 66),
+        node_event("start", 0, 3, 3, 66),
+        ru_hard_fault(2, 67),
+        node_event("end", 0, 3, 3, 83),
+        TraceEvent::GraphEnd {
+            job: 0,
+            at: SimTime::from_ms(83),
+        },
+    ]);
+    Trace { events }
+}
+
+fn jpeg_jobs(count: usize) -> Vec<JobSpec> {
+    let jpeg = Arc::new(benchmarks::jpeg());
+    (0..count)
+        .map(|_| JobSpec::new(Arc::clone(&jpeg)))
+        .collect()
+}
+
+/// The violation texts of checker `name` in `report`.
+fn violations_of(report: &RegistryReport, name: &str) -> Vec<String> {
+    report
+        .outcome(name)
+        .expect("checker enabled")
+        .violations
+        .iter()
+        .map(|v| v.0.clone())
+        .collect()
+}
+
+/// An RU hard fault revokes only the live placement on that RU: a node
+/// that moved to another RU keeps its new placement, and a node that
+/// finished on the dead RU stays finished.
+#[test]
+fn hard_fault_resets_only_the_faulted_rus_live_placement() {
+    let jobs = jpeg_jobs(1);
+    let latency = SimDuration::from_ms(4);
+    let registry = CheckerRegistry::standard();
+    let trace = hard_fault_trace(true);
+    let report = registry.run(&CheckContext::new(&trace, &jobs, latency, None));
+    for name in ["task-lifecycle", "precedence", "no-lost-work"] {
+        assert_eq!(violations_of(&report, name), Vec::<String>::new(), "{name}");
+    }
+    // 5 starts × 3 + 4 ends × 2 + 1 kill + 4 lives + 1 execution total.
+    assert_eq!(report.outcome("task-lifecycle").unwrap().fired, 29);
+
+    let trace = hard_fault_trace(false);
+    let report = registry.run(&CheckContext::new(&trace, &jobs, latency, None));
+    assert_eq!(
+        violations_of(&report, "task-lifecycle"),
+        [
+            "node n1 of job 0 started without load or reuse",
+            "node n1 of job 0 executes on RU2 but was placed on RUNone",
+        ]
+    );
+}
+
+/// Ids outside the workload — an unknown job, and nodes beyond their
+/// job's graph — are tracked like any other node and reported, in
+/// `(job, node)` order, without a panic.
+#[test]
+fn ids_outside_the_workload_are_reported() {
+    let jobs = jpeg_jobs(2);
+    let mut trace = hard_fault_trace(true);
+    trace.events.extend([
+        node_event("reuse", 9, 0, 0, 90),
+        node_event("start", 9, 0, 0, 90),
+        node_event("end", 9, 0, 0, 91),
+        TraceEvent::GraphEnd {
+            job: 9,
+            at: SimTime::from_ms(91),
+        },
+        node_event("reuse", 9, 1, 1, 92),
+        node_event("reuse", 0, 7, 0, 92),
+        node_event("start", 0, 7, 0, 92),
+        node_event("end", 0, 7, 0, 93),
+        node_event("reuse", 0, 8, 1, 93),
+        node_event("reuse", 1, 0, 2, 93),
+    ]);
+    let cx = CheckContext::new(&trace, &jobs, SimDuration::from_ms(4), None);
+    let report = CheckerRegistry::standard().run(&cx);
+    assert_eq!(
+        violations_of(&report, "task-lifecycle"),
+        [
+            "exec end for node n0 of unknown job 9",
+            "exec end for node n7 beyond the graph of job 0",
+            "node 8 of job 0 never completed execution",
+            "node 0 of job 1 never completed execution",
+            "node 1 of job 9 never completed execution",
+            "trace has 6 executions, workload requires 4",
+        ]
+    );
+    assert_eq!(
+        violations_of(&report, "precedence"),
+        [
+            "exec start for node n0 of unknown job 9",
+            "exec start for node n7 beyond the graph of job 0",
+        ]
+    );
+    assert_eq!(
+        violations_of(&report, "no-lost-work"),
+        ["graph end at 91ms for unknown job 9"]
+    );
 }

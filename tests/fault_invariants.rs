@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rtr_manager::{
     simulate, CheckContext, CheckerRegistry, Engine, FaultPlan, JobSpec, ManagerConfig,
-    PrefetchConfig, SimError, SimulationOutcome,
+    PrefetchConfig, SimError, SimulationOutcome, Trace, TraceEvent,
 };
 use rtr_sim::SimDuration;
 use rtr_taskgraph::generate::{self, GenConfig};
@@ -256,6 +256,45 @@ fn retry_exhaustion_gives_up_quarantines_and_recovers() {
         "the degraded pool still completes every job"
     );
     assert_validates_clean(&cfg, &jobs, &out, 1, 11);
+}
+
+/// True when `trace` cancels a speculative load between a corrupt
+/// completion and its retried write completing.
+fn cancels_a_retrying_prefetch(trace: &Trace) -> bool {
+    let mut in_flight = false;
+    let mut retrying = false;
+    for ev in trace.iter() {
+        match ev {
+            TraceEvent::PrefetchStart { .. } => (in_flight, retrying) = (true, false),
+            TraceEvent::FaultRetry { .. } if in_flight => retrying = true,
+            TraceEvent::PrefetchEnd { .. } => (in_flight, retrying) = (false, false),
+            TraceEvent::PrefetchCancel { .. } if retrying => return true,
+            TraceEvent::PrefetchCancel { .. } => in_flight = false,
+            _ => {}
+        }
+    }
+    false
+}
+
+/// A speculative load that came back corrupt and is cancelled by a
+/// demand load while it waits to retry abandons its attempts: the next
+/// load on the port starts again at attempt 1, with the full retry
+/// budget and the first backoff step. Prefetch depth 2, frequent
+/// transient load faults, preemption off; the seeds are ones whose
+/// runs cancel such a retry.
+#[test]
+fn cancelled_speculative_retry_resets_the_attempt_count() {
+    for seed in [124u64, 158, 203] {
+        let plan = FaultPlan::off().with_seed(seed).with_load_faults(300, 3);
+        let cfg = cfg_with(4, 2, plan);
+        let jobs = batch_jobs(seed, 3, 6);
+        let out = run(&cfg, &jobs, 0, seed);
+        assert!(
+            cancels_a_retrying_prefetch(&out.trace),
+            "seed {seed} must cancel a speculative load waiting to retry"
+        );
+        assert_validates_clean(&cfg, &jobs, &out, 0, seed);
+    }
 }
 
 /// Upset then repair: an upset-only plan must invalidate resident
