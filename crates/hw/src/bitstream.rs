@@ -5,19 +5,19 @@
 //! of that movement (latency, energy, bytes — see [`crate::energy`]),
 //! but a faithful substrate should also exercise the data path, so this
 //! module provides a repository of deterministic pseudo-random
-//! bitstreams keyed by [`ConfigId`]. Blobs are [`bytes::Bytes`], so
+//! bitstreams keyed by [`ConfigId`]. Blobs are shared `Arc<[u8]>`s, so
 //! handing a bitstream to a simulated DMA engine is a cheap reference
 //! count, like pointing real DMA at a buffer.
 
-use bytes::Bytes;
 use rtr_taskgraph::ConfigId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A repository of synthetic partial bitstreams.
 #[derive(Debug, Clone)]
 pub struct BitstreamRepository {
     size_bytes: usize,
-    blobs: HashMap<ConfigId, Bytes>,
+    blobs: HashMap<ConfigId, Arc<[u8]>>,
     sums: HashMap<ConfigId, u64>,
 }
 
@@ -32,7 +32,7 @@ impl BitstreamRepository {
     }
 
     /// Fetches (generating on first access) the bitstream for `config`.
-    pub fn fetch(&mut self, config: ConfigId) -> Bytes {
+    pub fn fetch(&mut self, config: ConfigId) -> Arc<[u8]> {
         self.blobs
             .entry(config)
             .or_insert_with(|| synthesize(config, self.size_bytes))
@@ -65,7 +65,7 @@ impl BitstreamRepository {
 /// Generates a deterministic pseudo-random blob for `config` using a
 /// SplitMix64 stream seeded by the config id — stable across runs and
 /// platforms.
-fn synthesize(config: ConfigId, size: usize) -> Bytes {
+fn synthesize(config: ConfigId, size: usize) -> Arc<[u8]> {
     let mut out = Vec::with_capacity(size);
     let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (u64::from(config.0) << 17);
     while out.len() < size {
@@ -78,15 +78,15 @@ fn synthesize(config: ConfigId, size: usize) -> Bytes {
         let take = chunk.len().min(size - out.len());
         out.extend_from_slice(&chunk[..take]);
     }
-    Bytes::from(out)
+    out.into()
 }
 
 /// A Fletcher-style checksum used to emulate integrity checking of a
 /// transferred bitstream (the fault model's "CRC").
-pub fn checksum(data: &Bytes) -> u64 {
+pub fn checksum(data: &[u8]) -> u64 {
     let mut a: u64 = 1;
     let mut b: u64 = 0;
-    for &byte in data.iter() {
+    for &byte in data {
         a = (a + u64::from(byte)) % 65_521;
         b = (b + a) % 65_521;
     }
@@ -96,18 +96,18 @@ pub fn checksum(data: &Bytes) -> u64 {
 /// A transfer-corrupted copy of `data`: one byte (picked by `salt`) is
 /// flipped by a non-zero XOR derived from `salt`. A single-byte delta
 /// is never ≡ 0 mod 65 521, so [`verify`] always detects it.
-pub fn corrupt(data: &Bytes, salt: u64) -> Bytes {
+pub fn corrupt(data: &[u8], salt: u64) -> Vec<u8> {
     assert!(!data.is_empty(), "cannot corrupt an empty bitstream");
     let mut out = data.to_vec();
     let idx = (salt % data.len() as u64) as usize;
     let flip = (salt >> 32) as u8 | 1; // never zero: the byte must change
     out[idx] ^= flip;
-    Bytes::from(out)
+    out
 }
 
 /// Integrity check of a transferred bitstream against its golden
 /// checksum.
-pub fn verify(data: &Bytes, expected: u64) -> bool {
+pub fn verify(data: &[u8], expected: u64) -> bool {
     checksum(data) == expected
 }
 
@@ -135,7 +135,7 @@ mod tests {
         let a = repo.fetch(ConfigId(3));
         let b = repo.fetch(ConfigId(3));
         assert_eq!(repo.generated(), 1);
-        // Bytes clones share the same backing storage.
+        // Clones of the shared blob point at the same backing storage.
         assert_eq!(a.as_ptr(), b.as_ptr());
     }
 
@@ -157,7 +157,7 @@ mod tests {
         for salt in [0u64, 1, 511, 512, 0xDEAD_BEEF_0000_0000, u64::MAX] {
             let bad = corrupt(&clean, salt);
             assert_eq!(bad.len(), clean.len());
-            assert_ne!(bad, clean);
+            assert_ne!(&bad[..], &clean[..]);
             assert!(!verify(&bad, golden), "salt {salt} went undetected");
         }
         // The memoised golden sum matches a fresh computation.

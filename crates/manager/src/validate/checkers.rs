@@ -449,7 +449,9 @@ impl Checker for RuIntervals {
 /// time — and every placed task completes by end of trace. Preemption
 /// revocations reset a node's life: a killed node replays in full, a
 /// checkpointed node's resumed run must take exactly
-/// `remainder + restore penalty`.
+/// `remainder + restore penalty`. An RU hard fault revokes only a run
+/// in flight (which then replays in full); a node that merely held a
+/// placement on the dead unit keeps a pending checkpoint remainder.
 struct TaskLifecycle;
 
 #[derive(Default, Clone)]
@@ -464,12 +466,17 @@ struct NodeLife {
 }
 
 impl NodeLife {
+    /// Forgets the node's placement: it re-queues for a fresh one.
+    fn unplace(&mut self) {
+        self.placed_at = None;
+        self.ru = None;
+    }
+
     /// Forgets the node's placement and run: it re-queues for a fresh
     /// placement and replays in full.
     fn revoke(&mut self) {
+        self.unplace();
         self.exec_start = None;
-        self.placed_at = None;
-        self.ru = None;
         self.expected = None;
     }
 }
@@ -650,13 +657,19 @@ impl Checker for TaskLifecycle {
                     ru,
                     ..
                 } => {
-                    // The dead unit's live placement (claimed or
-                    // executing) is revoked and the node re-queues for a
-                    // fresh placement — reset its life like a kill.
+                    // The dead unit's live placement is lost and the node
+                    // re-queues for a fresh one. A run in flight replays
+                    // in full, like a kill; a node that had not started
+                    // keeps a checkpoint's remainder, which the engine
+                    // spends only when a run starts.
                     for key in placed_on.remove(ru.0).unwrap_or_default() {
                         let entry = life.entry(key);
                         if entry.ru == Some(ru.0) && entry.exec_end.is_none() {
-                            entry.revoke();
+                            if entry.exec_start.is_some() {
+                                entry.revoke();
+                            } else {
+                                entry.unplace();
+                            }
                         }
                     }
                 }
@@ -678,8 +691,7 @@ impl Checker for TaskLifecycle {
                         )),
                     }
                     entry.exec_start = None;
-                    entry.placed_at = None;
-                    entry.ru = None;
+                    entry.unplace();
                 }
                 _ => {}
             }

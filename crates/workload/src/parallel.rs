@@ -2,28 +2,20 @@
 //!
 //! Experiment grids (policy × RU count × seed) are embarrassingly
 //! parallel: each cell is an independent, internally deterministic
-//! simulation. [`parallel_map`] fans the cells out over a scoped
-//! thread pool with work-stealing deques and returns results in input
-//! order, so sweep output is identical to a sequential run regardless
-//! of scheduling.
+//! simulation. [`parallel_map`] fans the cells out over scoped threads
+//! and returns results in input order, so sweep output is identical to
+//! a sequential run regardless of scheduling.
 //!
-//! Each worker owns a FIFO deque pre-filled with a *contiguous* block
-//! of the input — with a Gray-code-ordered sweep, neighbouring cells
-//! land on the same worker, which is what lets a pooled engine's
-//! warm-start log hit on the next cell. A worker that drains its block
-//! steals from the busiest point of the grid instead of idling, so
-//! uneven per-cell cost (an LFD oracle cell is far more expensive than
-//! an LRU cell) still balances.
+//! Every worker pulls the next cell from one shared cursor, so uneven
+//! per-cell cost (an LFD oracle cell is far more expensive than an LRU
+//! cell) balances without any partitioning: a worker is only ever idle
+//! once the input is exhausted.
 
-use crossbeam::channel;
-use crossbeam_deque::{Steal, Stealer, Worker};
 use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A captured panic payload, tagged with the input index it came from.
-type CellPanic = (usize, Box<dyn Any + Send + 'static>);
+use std::sync::Mutex;
 
 /// Best-effort extraction of the human-readable message from a panic
 /// payload (`panic!` produces `&str` or `String` payloads).
@@ -47,16 +39,11 @@ fn resume_cell_panic(idx: usize, payload: Box<dyn Any + Send + 'static>) -> ! {
 /// Applies `f` to every item, using up to `workers` threads, preserving
 /// input order in the result.
 ///
-/// Items are distributed through per-worker work-stealing deques, so
-/// uneven per-item cost (an LFD oracle cell is far more expensive than
-/// an LRU cell) balances automatically while each worker still walks a
-/// contiguous block of the input in order.
-///
 /// # Panics
-/// If `f` panics on some item, the panic is captured per cell, the
-/// remaining items still drain (workers keep going), and the panic of
-/// the lowest failing index is re-raised on the caller's thread with
-/// the cell index and original message attached.
+/// If `f` panics on some item, the panic is captured per cell, cells
+/// below it still run, and the panic of the lowest failing index is
+/// re-raised on the caller's thread with the cell index and original
+/// message attached.
 pub fn parallel_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -66,17 +53,17 @@ where
     parallel_map_with(items, workers, || (), |(), item| f(item))
 }
 
-/// [`parallel_map`] with per-worker mutable state: `init` runs once on
-/// each worker thread and the resulting state is threaded through every
-/// item that worker processes.
+/// [`parallel_map`] with per-worker mutable state: `init` runs once per
+/// worker and the resulting state is threaded through every item that
+/// worker processes.
 ///
 /// This is what lets a sweep reuse expensive carriers across cells — a
-/// pooled simulation engine, scratch buffers, a connection — without
-/// any locking: each worker owns its state exclusively. Results are
-/// still returned in input order, and per-cell determinism is
-/// unaffected as long as the state does not leak information between
-/// cells (a pooled engine is reset per cell; the pooled-equivalence
-/// property test pins that resets are invisible).
+/// pooled simulation engine, scratch buffers — without any locking:
+/// each worker owns its state exclusively. The calling thread is one of
+/// the `workers`. Results are returned in input order, and per-cell
+/// determinism is unaffected as long as the state does not leak
+/// information between cells (a pooled engine is reset per cell; the
+/// pooled-equivalence property test pins that resets are invisible).
 ///
 /// # Panics
 /// Propagates item panics exactly like [`parallel_map`] (lowest failing
@@ -92,109 +79,58 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        let mut state = init();
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(idx, item)| {
-                catch_unwind(AssertUnwindSafe(|| f(&mut state, item)))
-                    .unwrap_or_else(|payload| resume_cell_panic(idx, payload))
-            })
-            .collect();
-    }
-
-    let (res_tx, res_rx) = channel::unbounded::<(usize, Result<R, Box<dyn Any + Send>>)>();
-    // Contiguous block per worker: worker `w` owns cells
-    // `[w·chunk, (w+1)·chunk)`. Sweep drivers order cells so that
-    // neighbours share simulation state (Gray-code walks), and a block
-    // keeps those neighbours on one worker — stealing only kicks in
-    // once a worker's own block is drained.
-    let queues: Vec<Worker<(usize, T)>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, T)>> = queues.iter().map(Worker::stealer).collect();
-    let chunk = n.div_ceil(workers);
-    for (idx, item) in items.into_iter().enumerate() {
-        queues[idx / chunk].push((idx, item));
-    }
-
-    // The lowest panicked index so far (`usize::MAX` = none). Cells
-    // above it drain without running `f` — a long sweep fails fast —
-    // while cells *below* it still compute, so the lowest-indexed
-    // failing cell always wins no matter which block panicked first.
+    let cursor = Mutex::new(items.into_iter().enumerate());
+    // The lowest panicked index so far (`usize::MAX` = none). The
+    // cursor hands out indices in increasing order, so a worker that
+    // draws a cell above it stops — a long sweep fails fast — while
+    // every cell below it has already been drawn and still runs, so the
+    // lowest-indexed failing cell always wins. The floor publishes no
+    // other data (payloads come back through the joins), so `Relaxed`
+    // suffices.
     let panic_floor = AtomicUsize::new(usize::MAX);
-    let (slots, first_panic) = crossbeam::thread::scope(|scope| {
-        for (me, local) in queues.into_iter().enumerate() {
-            let stealers = stealers.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            let init = &init;
-            let panic_floor = &panic_floor;
-            scope.spawn(move |_| {
-                let mut state = init();
-                loop {
-                    let task = local.pop().or_else(|| steal_task(&stealers, me));
-                    let Some((idx, item)) = task else { break };
-                    if idx > panic_floor.load(Ordering::Relaxed) {
-                        continue; // a lower cell already failed
-                    }
-                    // Catch per-cell panics so one bad cell neither
-                    // poisons the scope join nor loses its origin.
-                    let out = catch_unwind(AssertUnwindSafe(|| f(&mut state, item)));
-                    if out.is_err() {
-                        panic_floor.fetch_min(idx, Ordering::Relaxed);
-                    }
-                    if res_tx.send((idx, out)).is_err() {
-                        return; // receiver gone: abort quietly
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut first_panic: Option<CellPanic> = None;
-        for (idx, r) in res_rx.iter() {
-            match r {
-                Ok(val) => slots[idx] = Some(val),
+    let work = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            let next = cursor
+                .lock()
+                .expect("no cell runs under the cursor lock, so it is never poisoned")
+                .next();
+            let Some((idx, item)) = next else { break };
+            if idx > panic_floor.load(Ordering::Relaxed) {
+                break; // a lower cell already failed
+            }
+            // Catch per-cell panics so one bad cell neither poisons the
+            // scope join nor loses its origin.
+            match catch_unwind(AssertUnwindSafe(|| f(&mut state, item))) {
+                Ok(out) => done.push((idx, out)),
                 Err(payload) => {
-                    if first_panic.as_ref().is_none_or(|(i, _)| idx < *i) {
-                        first_panic = Some((idx, payload));
-                    }
+                    panic_floor.fetch_min(idx, Ordering::Relaxed);
+                    return (done, Some((idx, payload)));
                 }
             }
         }
-        (slots, first_panic)
-    })
-    .expect("workers catch their own panics");
-
-    if let Some((idx, payload)) = first_panic {
+        (done, None)
+    };
+    let (done, failed): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers.clamp(1, n))
+            .map(|_| scope.spawn(work))
+            .collect();
+        // The calling thread works too; joins wait until it is done.
+        std::iter::once(work())
+            .chain(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("workers catch their own panics")),
+            )
+            .unzip()
+    });
+    if let Some((idx, payload)) = failed.into_iter().flatten().min_by_key(|&(idx, _)| idx) {
         resume_cell_panic(idx, payload);
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index produced a result"))
-        .collect()
-}
-
-/// One round-robin pass over the other workers' stealers, looping while
-/// any attempt reports contention. `None` means every queue was
-/// observed empty — with no producers after startup that is a stable
-/// termination condition, so the worker can exit.
-fn steal_task<T>(stealers: &[Stealer<(usize, T)>], me: usize) -> Option<(usize, T)> {
-    loop {
-        let mut contended = false;
-        for off in 1..stealers.len() {
-            match stealers[(me + off) % stealers.len()].steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-        std::thread::yield_now();
-    }
+    let mut results: Vec<(usize, R)> = done.into_iter().flatten().collect();
+    results.sort_unstable_by_key(|&(idx, _)| idx);
+    results.into_iter().map(|(_, out)| out).collect()
 }
 
 /// A sensible default worker count: available parallelism, at least 1.
@@ -289,11 +225,11 @@ mod tests {
 
     #[test]
     fn uneven_costs_steal_across_blocks_and_keep_order() {
-        // Worker 0's contiguous block (the first half) is made of slow
-        // cells; the other workers' blocks are instant. The idle
-        // workers must steal into block 0 — observable as block-0 items
-        // running on more than one thread — while results stay in input
-        // order and every worker's state threads through its cells.
+        // The first half of the input is made of slow cells, the
+        // second half is instant. Both workers must take slow cells —
+        // observable as first-half items running on more than one
+        // thread — while results stay in input order and every
+        // worker's state threads through its cells.
         let n = 16usize;
         let out = parallel_map_with(
             (0..n).collect::<Vec<_>>(),
@@ -316,10 +252,7 @@ mod tests {
             .iter()
             .map(|&(_, _, id)| format!("{id:?}"))
             .collect();
-        assert!(
-            slow_threads.len() > 1,
-            "the fast worker never stole from the slow block"
-        );
+        assert!(slow_threads.len() > 1, "one worker ran every slow cell");
     }
 
     #[test]

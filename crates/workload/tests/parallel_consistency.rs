@@ -4,9 +4,10 @@
 //! whether its policy cells run sequentially or fanned out.
 
 use proptest::prelude::*;
+use rtr_manager::{FaultPlan, FleetSpec, PlacementKind, PreemptionMode};
 use rtr_workload::arrivals::ArrivalProcess;
 use rtr_workload::parallel::parallel_map;
-use rtr_workload::Scenario;
+use rtr_workload::{QosSpec, Scenario};
 
 /// A cheap but order-sensitive function: mixes the value with its
 /// position so any reordering or dropped/duplicated item shows up.
@@ -35,18 +36,36 @@ proptest! {
     }
 }
 
+/// Every worker count must tabulate identically, including with
+/// preemption, QoS lanes, faults and a fleet on: a pooled engine that
+/// leaked state from one cell into the next cell its worker runs would
+/// show up as a difference between one worker (every cell on one
+/// engine) and eight.
 #[test]
 fn scenario_tables_identical_sequential_vs_parallel() {
+    let poisson = ArrivalProcess::Poisson {
+        mean_gap_us: 60_000,
+    };
+    let stream = Scenario::streaming(4, 40, 9, poisson);
     for scenario in [
         Scenario::paper_fig9(4, 40, 9),
-        Scenario::streaming(
-            4,
-            40,
-            9,
-            ArrivalProcess::Poisson {
-                mean_gap_us: 60_000,
-            },
-        ),
+        stream.clone(),
+        Scenario {
+            preemption: PreemptionMode::Checkpoint,
+            qos: QosSpec::strided(4, 1, 300),
+            faults: FaultPlan::low(9),
+            ..stream.clone()
+        },
+        Scenario {
+            fleet: Some(FleetSpec {
+                devices: vec![2, 4, 3],
+                placement: PlacementKind::ReuseAffinity,
+                quota: Some(8),
+                tenants: 3,
+                seed: 9,
+            }),
+            ..stream
+        },
     ] {
         let sequential = scenario.run_with_workers(1);
         let parallel = scenario.run_with_workers(8);

@@ -373,6 +373,7 @@ fn node_event(kind: &str, job: u32, node: u32, ru: u16, ms: u64) -> TraceEvent {
             at,
         },
         "kill" => TraceEvent::NodeKilled { job, node, ru, at },
+        "checkpoint" => TraceEvent::NodeCheckpointed { job, node, ru, at },
         _ => unreachable!("unknown node event kind {kind}"),
     }
 }
@@ -478,6 +479,71 @@ fn hard_fault_resets_only_the_faulted_rus_live_placement() {
             "node n1 of job 0 started without load or reuse",
             "node n1 of job 0 executes on RU2 but was placed on RUNone",
         ]
+    );
+}
+
+/// One JPEG job whose n0 (21 ms) is checkpointed on RU1 at 5 ms, so
+/// its resumed run owes 16 ms + 4 ms restore = 20 ms. It is re-placed
+/// on RU2, which dies at 12 ms — with the resumed run in flight when
+/// `started`, before it began otherwise — and finally runs 16–36 ms on
+/// RU3, followed by n1..n3 on RU3.
+fn checkpoint_then_hard_fault_trace(started: bool) -> Trace {
+    let mut events = vec![
+        TraceEvent::GraphStart {
+            job: 0,
+            at: SimTime::ZERO,
+        },
+        node_event("load", 0, 0, 0, 0),
+        node_event("start", 0, 0, 0, 0),
+        node_event("checkpoint", 0, 0, 0, 5),
+        node_event("load", 0, 0, 1, 10),
+    ];
+    if started {
+        events.push(node_event("start", 0, 0, 1, 10));
+    }
+    events.extend([
+        ru_hard_fault(1, 12),
+        node_event("load", 0, 0, 2, 16),
+        node_event("start", 0, 0, 2, 16),
+        node_event("end", 0, 0, 2, 36),
+        node_event("load", 0, 1, 2, 40),
+        node_event("start", 0, 1, 2, 40),
+        node_event("end", 0, 1, 2, 55),
+        node_event("load", 0, 2, 2, 59),
+        node_event("start", 0, 2, 2, 59),
+        node_event("end", 0, 2, 2, 85),
+        node_event("load", 0, 3, 2, 89),
+        node_event("start", 0, 3, 2, 89),
+        node_event("end", 0, 3, 2, 106),
+        TraceEvent::GraphEnd {
+            job: 0,
+            at: SimTime::from_ms(106),
+        },
+    ]);
+    Trace { events }
+}
+
+/// A hard fault on the RU of a checkpointed node that has not restarted
+/// yet costs only the placement: the node still owes its remainder plus
+/// the restore penalty. A resumed run the fault kills mid-run replays
+/// in full, so finishing it in the remainder's time is flagged.
+#[test]
+fn checkpoint_remainder_survives_an_idle_hard_fault() {
+    let jobs = jpeg_jobs(1);
+    let latency = SimDuration::from_ms(4);
+    let registry = CheckerRegistry::standard();
+    let trace = checkpoint_then_hard_fault_trace(false);
+    let report = registry.run(&CheckContext::new(&trace, &jobs, latency, None));
+    assert_eq!(
+        violations_of(&report, "task-lifecycle"),
+        Vec::<String>::new()
+    );
+
+    let trace = checkpoint_then_hard_fault_trace(true);
+    let report = registry.run(&CheckContext::new(&trace, &jobs, latency, None));
+    assert_eq!(
+        violations_of(&report, "task-lifecycle"),
+        ["node n0 of job 0 ran 20ms (expected 21ms)"]
     );
 }
 

@@ -4,14 +4,15 @@
 //! every engine lifecycle), a fault-active detour between warm-start
 //! sweeps must not perturb the fault-off runs around it, and the
 //! hand-built fault schedules (retry exhaustion, upset-then-repair,
-//! quarantine of the last RU) must behave exactly as specified.
+//! quarantine of the last RU, a checkpointed node losing its RU to a
+//! hard fault) must behave exactly as specified.
 
 use proptest::prelude::*;
 use rtr_manager::{
-    simulate, CheckContext, CheckerRegistry, Engine, FaultPlan, JobSpec, ManagerConfig,
-    PrefetchConfig, SimError, SimulationOutcome, Trace, TraceEvent,
+    simulate, CheckContext, CheckerRegistry, Engine, FaultKind, FaultPlan, JobSpec, ManagerConfig,
+    PreemptionMode, PrefetchConfig, QosClass, SimError, SimulationOutcome, Trace, TraceEvent,
 };
-use rtr_sim::SimDuration;
+use rtr_sim::{SimDuration, SimTime};
 use rtr_taskgraph::generate::{self, GenConfig};
 use rtr_taskgraph::TaskGraph;
 use rtr_workload::vopr::{build_policy, fault_plan};
@@ -337,5 +338,69 @@ fn quarantine_of_last_ru_is_a_typed_error() {
             assert!(at > rtr_sim::SimTime::ZERO);
         }
         other => panic!("expected PoolExhausted, got {other:?}"),
+    }
+}
+
+/// True when `trace` has a checkpointed node, not yet restarted, whose
+/// last placement is on an RU that then suffers a hard fault.
+fn checkpointed_node_loses_its_ru(trace: &Trace) -> bool {
+    // (job, node, RU of the latest placement) of each checkpointed node
+    // that has not restarted.
+    let mut waiting: Vec<(u32, u32, Option<u16>)> = Vec::new();
+    for ev in trace.iter() {
+        match *ev {
+            TraceEvent::NodeCheckpointed { job, node, .. } => waiting.push((job, node.0, None)),
+            TraceEvent::LoadEnd { job, node, ru, .. } | TraceEvent::Reuse { job, node, ru, .. } => {
+                for w in waiting.iter_mut().filter(|w| (w.0, w.1) == (job, node.0)) {
+                    w.2 = Some(ru.0);
+                }
+            }
+            TraceEvent::ExecStart { job, node, .. } => {
+                waiting.retain(|w| (w.0, w.1) != (job, node.0));
+            }
+            TraceEvent::FaultInject {
+                kind: FaultKind::RuHard,
+                ru,
+                ..
+            } if waiting.iter().any(|w| w.2 == Some(ru.0)) => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
+/// A checkpointed node is re-loaded on resume, preempted again before
+/// it restarts, and its RU then dies. Only a run in flight is revoked
+/// by a hard fault, so the node still owes its remainder plus the
+/// restore penalty, and its next run takes exactly that. Jobs arrive
+/// 8 ms apart, every third one in the higher priority lane, under
+/// Checkpoint preemption and frequent repaired RU hard faults; the
+/// (RUs, prefetch depth, seed) triples are ones whose runs hit the
+/// sequence.
+#[test]
+fn hard_fault_keeps_a_waiting_checkpoint_remainder() {
+    for (rus, depth, seed) in [(3usize, 0usize, 39u64), (3, 0, 276), (2, 1, 159)] {
+        let plan = FaultPlan::off()
+            .with_seed(seed)
+            .with_ru_faults(100, Some(SimDuration::from_ms(10)));
+        let cfg = cfg_with(rus, depth, plan).with_preemption(PreemptionMode::Checkpoint);
+        let jobs: Vec<JobSpec> = batch_jobs(seed, 3, 12)
+            .into_iter()
+            .enumerate()
+            .map(|(i, job)| {
+                let job = job.with_arrival(SimTime::from_ms(8 * i as u64));
+                if i % 3 == 2 {
+                    job.with_qos(QosClass::priority(1))
+                } else {
+                    job
+                }
+            })
+            .collect();
+        let out = run(&cfg, &jobs, 0, seed);
+        assert!(
+            checkpointed_node_loses_its_ru(&out.trace),
+            "seed {seed} must hard-fault the RU of a checkpointed node before it restarts"
+        );
+        assert_validates_clean(&cfg, &jobs, &out, 0, seed);
     }
 }
