@@ -1,7 +1,7 @@
 //! The engine's event alphabet and per-event dispatch — the paper's
 //! Fig. 4 pseudo-code, one match arm per line group.
 
-use super::{ActiveJob, ManagerState};
+use super::{ActiveJob, IndexOrder, ManagerState};
 use crate::job::JobSpec;
 use crate::policy::ReplacementPolicy;
 use crate::trace::TraceEvent;
@@ -27,7 +27,8 @@ pub(crate) const PRIO_RU_HEAL: u8 = 4;
 pub(crate) enum Event {
     /// Job `idx` enters the online queue.
     JobArrival { idx: usize },
-    /// The longest-waiting arrived job becomes current.
+    /// The highest-lane waiting arrival (the longest-waiting one among
+    /// equals), or the suspended stack's top, becomes current.
     NewTaskGraph,
     /// The in-flight demand reconfiguration finished.
     EndOfReconfiguration { ru: RuId, node: NodeId },
@@ -60,7 +61,7 @@ impl ManagerState {
     ) {
         match ev {
             Event::JobArrival { idx } => {
-                self.admit_arrival(idx, now);
+                self.admit_arrival(idx, now, jobs);
                 if self.current.is_none() {
                     // Idle manager: resume by activating at this instant
                     // (unless a same-instant activation is already
@@ -104,8 +105,13 @@ impl ManagerState {
                     .last()
                     .is_some_and(|s| best.is_none_or(|(_, p)| s.priority >= p));
                 if resume {
-                    self.resume_suspended(now, policy);
-                    self.rebuild_reuse_index(jobs);
+                    let idx = self.resume_suspended(now, policy);
+                    // A planned order already leads with the stack top.
+                    if self.index_order == IndexOrder::Planned {
+                        debug_assert_eq!(self.segment_jobs.front(), Some(&idx));
+                    } else {
+                        self.rebuild_reuse_index(jobs);
+                    }
                 } else {
                     let (pos, _) = best.expect("activation follows an arrival");
                     let idx = if pos == 0 {
@@ -125,12 +131,23 @@ impl ManagerState {
                     });
                     self.current = Some(job);
                     policy.on_graph_start(idx as u32, now);
-                    // Skipping the rebuild is only sound while the index
-                    // still mirrors plain arrival order and nothing is
-                    // suspended — i.e. on every uniform-priority run.
-                    if !(self.index_fifo && pos == 0 && self.suspended.is_empty()) {
+                    // The index already leads with the new current graph
+                    // while it mirrors arrival order and the oldest waiter
+                    // was served (every uniform-priority run), or while it
+                    // holds the planned order and nothing is suspended
+                    // (the best waiter is then the planned front). Serving
+                    // an arrival ahead of a suspended graph, a stale
+                    // order, or the first out-of-order activation rebuild.
+                    let in_order = self.suspended.is_empty()
+                        && match self.index_order {
+                            IndexOrder::Fifo => pos == 0,
+                            IndexOrder::Planned => true,
+                            IndexOrder::Stale => false,
+                        };
+                    if in_order {
+                        debug_assert_eq!(self.segment_jobs.front(), Some(&(idx as u32)));
+                    } else {
                         self.rebuild_reuse_index(jobs);
-                        self.index_fifo = false;
                     }
                 }
                 self.try_advance(now, policy);
@@ -271,8 +288,9 @@ impl ManagerState {
                 }
                 to_start.clear();
                 self.exec_ready = to_start;
-                // Graph completion → activate the longest-waiting
-                // arrived job, or go idle until the next arrival.
+                // Graph completion → activate the next graph (best
+                // waiting arrival or suspended top), or go idle until
+                // the next arrival.
                 if done == graph_len {
                     self.record(|| TraceEvent::GraphEnd {
                         job: job_idx,

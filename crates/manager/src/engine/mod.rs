@@ -26,7 +26,7 @@
 //! [`TemplateSet`](rtr_taskgraph::TemplateSet), computed once per
 //! distinct template per process rather than per job or per grid cell.
 
-use crate::config::ManagerConfig;
+use crate::config::{Lookahead, ManagerConfig};
 use crate::job::JobSpec;
 use crate::policy::VictimCandidate;
 use crate::reuse_index::ReuseIndex;
@@ -34,6 +34,7 @@ use crate::trace::{Trace, TraceEvent};
 use rtr_hw::{EnergyModel, LoadLane, ReconfigController, RuId, RuPool};
 use rtr_sim::{EventQueue, SimDuration, SimTime};
 use rtr_taskgraph::{ConfigId, NodeId, TaskGraph, TemplateArtifacts};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -214,6 +215,25 @@ pub(crate) enum ReconfigKind {
     Speculative(ConfigId),
 }
 
+/// How the reuse index's segment order relates to the planned service
+/// order (current, suspended stack top to bottom, then waiting arrivals
+/// by descending lane, ties in arrival order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IndexOrder {
+    /// Plain arrival order, kept until the first activation that does
+    /// not serve the oldest arrival (every uniform-priority run stays
+    /// here). Lanes are ignored: a high-priority arrival that is also
+    /// the oldest waiter changes nothing.
+    Fifo,
+    /// Equal to the planned order, kept by retiring the front and
+    /// appending arrivals that do not out-prioritise the backlog tail.
+    Planned,
+    /// Broken since the last rebuild: an arrival out-prioritised the
+    /// backlog tail, or a graph was preempted. The next activation
+    /// rebuilds.
+    Stale,
+}
+
 /// The mutable heart of the engine, shared by the submodules.
 pub(crate) struct ManagerState {
     pub(crate) cfg: ManagerConfig,
@@ -236,9 +256,11 @@ pub(crate) struct ManagerState {
     /// in arrival order (ties broken by submission order). This is what
     /// the replacement module's Dynamic List is built from.
     pub(crate) arrived: VecDeque<usize>,
-    /// The incremental next-occurrence index over `[current] + arrived`
-    /// — shared across consecutive replacement decisions instead of a
-    /// per-decision stream rebuild.
+    /// The incremental next-occurrence index over the first
+    /// [`index_cap`](ManagerState::index_cap) jobs of `segment_jobs` —
+    /// the part of the planned order a decision can see — shared across
+    /// consecutive replacement decisions instead of a per-decision
+    /// stream rebuild.
     pub(crate) reuse_index: ReuseIndex,
     /// The pending `NewTaskGraph` activation, if any. At most one can
     /// exist (graphs execute sequentially), so it lives in a slot the
@@ -292,15 +314,20 @@ pub(crate) struct ManagerState {
     /// A preemption was requested while a demand load was in flight;
     /// executed (after re-checking the trigger) when that load lands.
     pub(crate) pending_preempt: bool,
-    /// True while the reuse index still mirrors `[current] + arrived`
-    /// in plain arrival order (the legacy invariant). The first
-    /// out-of-order activation, resume, or preemption clears it; from
-    /// then on every activation rebuilds the index in planned order.
-    pub(crate) index_fifo: bool,
-    /// Job indices backing the reuse index's segments, in segment
-    /// order — maps a segment ordinal back to its owner for the slack
-    /// table. Maintained alongside every index mutation.
+    /// How the segment order relates to the planned service order (see
+    /// [`IndexOrder`]).
+    pub(crate) index_order: IndexOrder,
+    /// The planned service order as job indices: `[current]`, then the
+    /// suspended stack top to bottom, then the waiting arrivals. The
+    /// reuse index materialises only its first
+    /// [`index_cap`](ManagerState::index_cap) entries, so a segment
+    /// ordinal maps back to its owner here (the slack table's lookup).
     pub(crate) segment_jobs: VecDeque<u32>,
+    /// Pooled `(lane, arrival rank)` sort keys of a rebuild.
+    pub(crate) order_scratch: Vec<(Reverse<u8>, usize)>,
+    /// Rebuilds of the planned order since the last reset.
+    #[cfg(test)]
+    pub(crate) index_rebuilds: u64,
     /// Static slack per submitted job, aligned with `jobs`:
     /// `deadline − ideal makespan` in microseconds, or
     /// [`NO_DEADLINE`](crate::policy::NO_DEADLINE). Time-invariant, so
@@ -347,6 +374,20 @@ impl ManagerState {
             if self.warm.active {
                 self.warm.events.push(e);
             }
+        }
+    }
+
+    /// How many leading segments of the planned order the reuse index
+    /// materialises: the current graph plus the Dynamic List's `n`
+    /// graphs for `Lookahead::Graphs(n)`, the current graph alone for
+    /// `None`, everything for `All`. Every decision window spans at
+    /// most `1 + visible_graphs(..)` segments, so no query reaches past
+    /// this prefix.
+    pub(crate) fn index_cap(&self) -> usize {
+        match self.cfg.lookahead {
+            Lookahead::None => 1,
+            Lookahead::Graphs(n) => n.saturating_add(1),
+            Lookahead::All => usize::MAX,
         }
     }
 

@@ -21,13 +21,13 @@
 //! top resumes as soon as it out-prioritises every waiting arrival at
 //! an activation instant.
 
-use super::{ManagerState, ReconfigKind};
+use super::{IndexOrder, ManagerState, ReconfigKind};
 use crate::job::JobSpec;
 use crate::policy::ReplacementPolicy;
 use crate::qos::PreemptionMode;
 use crate::trace::TraceEvent;
 use rtr_sim::SimTime;
-use std::sync::Arc;
+use std::cmp::Reverse;
 
 impl ManagerState {
     /// The waiting arrival with the highest lane priority: returns its
@@ -137,7 +137,8 @@ impl ManagerState {
             job.node_ru[n] = None;
         }
         self.suspended.push(job);
-        self.index_fifo = false;
+        // The preemptor will be served ahead of the suspended graph.
+        self.index_order = IndexOrder::Stale;
         if self.pending_activation.is_none() {
             self.pending_activation = Some(now);
         }
@@ -145,7 +146,9 @@ impl ManagerState {
 
     /// Pops the suspended stack's top, queues its recovery work and
     /// makes it current again. Caller must have verified the resume
-    /// condition and must rebuild the reuse index afterwards.
+    /// condition and must rebuild the reuse index afterwards unless its
+    /// order is still [`IndexOrder::Planned`] (the resumed graph is
+    /// then already the front segment).
     pub(crate) fn resume_suspended<P: ReplacementPolicy + ?Sized>(
         &mut self,
         now: SimTime,
@@ -169,42 +172,42 @@ impl ManagerState {
         idx
     }
 
-    /// Rebuilds the reuse index (and the segment-owner map) in planned
-    /// service order: current graph first, then the suspended stack top
-    /// to bottom, then waiting arrivals by priority lane (ties in
-    /// arrival order). Called at every activation once the FIFO
-    /// invariant is lost — uniform-priority runs never get here.
+    /// Rebuilds the planned order and the reuse index over it: current
+    /// graph first, then the suspended stack top to bottom, then waiting
+    /// arrivals by priority lane (ties in arrival order). Called at an
+    /// activation that leaves the FIFO phase or finds the order
+    /// [`Stale`](IndexOrder::Stale) or not led by the new current
+    /// graph; uniform-priority runs never get here. Costs one sort of
+    /// the backlog's keys (pooled) plus the materialised prefix only.
     pub(crate) fn rebuild_reuse_index(&mut self, jobs: &[JobSpec]) {
         self.reuse_index.clear();
         self.segment_jobs.clear();
-        if let Some(job) = &self.current {
-            self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
-            self.segment_jobs.push_back(job.idx);
+        self.segment_jobs
+            .extend(self.current.as_ref().map(|j| j.idx));
+        self.segment_jobs
+            .extend(self.suspended.iter().rev().map(|j| j.idx));
+        let mut order = std::mem::take(&mut self.order_scratch);
+        order.clear();
+        order.extend(
+            self.arrived
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (Reverse(jobs[i].qos.priority), k)),
+        );
+        // Keys are unique (arrival ranks), so the unstable sort is
+        // deterministic and allocation-free.
+        order.sort_unstable();
+        self.segment_jobs
+            .extend(order.iter().map(|&(_, k)| self.arrived[k] as u32));
+        self.order_scratch = order;
+        self.index_order = IndexOrder::Planned;
+        #[cfg(test)]
+        {
+            self.index_rebuilds += 1;
         }
-        for job in self.suspended.iter().rev() {
-            self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
-            self.segment_jobs.push_back(job.idx);
-        }
-        // Rebuilds are rare (one per preemption/resume/out-of-order
-        // activation), so a local sort buffer is fine here.
-        let mut order: Vec<(u8, usize)> = self
-            .arrived
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| (jobs[i].qos.priority, k))
-            .collect();
-        order.sort_by_key(|&(p, k)| (std::cmp::Reverse(p), k));
-        for &(_, k) in &order {
-            let i = self.arrived[k];
-            self.reuse_index
-                .push_job(Arc::clone(&self.job_templates[i].cfg_seq));
-            self.segment_jobs.push_back(i as u32);
-        }
+        self.top_up_reuse_index();
     }
 
-    /// Fills the pooled slack table for one replacement decision:
-    /// `slack_scratch[segment]` is the static slack of the segment's
-    /// owner. Only called when some job carries a deadline.
     /// True when the job owning the reuse-index position `pos` has a
     /// deadline and no slack left at `now` — the prefetch guard's
     /// protected-resident test.
@@ -219,14 +222,24 @@ impl ManagerState {
         s != crate::policy::NO_DEADLINE && s - now.as_us() as i64 <= 0
     }
 
+    /// Fills the pooled slack table for one replacement decision:
+    /// `slack_scratch[segment]` is the static slack of the segment's
+    /// owner, for the materialised segments only (no window reaches
+    /// past them). Only called when some job carries a deadline.
     pub(crate) fn fill_slack_scratch(&mut self) {
         let ManagerState {
             slack_scratch,
             segment_jobs,
             job_slack,
+            reuse_index,
             ..
         } = self;
         slack_scratch.clear();
-        slack_scratch.extend(segment_jobs.iter().map(|&i| job_slack[i as usize]));
+        slack_scratch.extend(
+            segment_jobs
+                .iter()
+                .take(reuse_index.jobs())
+                .map(|&i| job_slack[i as usize]),
+        );
     }
 }

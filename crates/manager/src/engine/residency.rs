@@ -3,12 +3,14 @@
 //! This module owns every state change of the RU pool (reuse claims,
 //! load starts, execution starts) and — because residency decisions are
 //! driven by the future request stream — the incremental maintenance of
-//! the [`ReuseIndex`](crate::ReuseIndex): jobs are indexed the moment
-//! they arrive and pruned the moment their graph retires, so the index
-//! always mirrors `[current job] + arrived backlog`.
+//! the [`ReuseIndex`](crate::ReuseIndex): jobs enter the planned order
+//! (`segment_jobs`) the moment they arrive and leave it the moment their
+//! graph retires, and the index materialises the prefix of that order a
+//! decision can see.
 
 use super::events::{Event, PRIO_END_OF_EXECUTION};
-use super::ManagerState;
+use super::{IndexOrder, ManagerState};
+use crate::job::JobSpec;
 use crate::policy::{ReplacementPolicy, VictimCandidate};
 use crate::trace::TraceEvent;
 use rtr_hw::RuId;
@@ -17,28 +19,74 @@ use rtr_taskgraph::{ConfigId, NodeId};
 use std::sync::Arc;
 
 impl ManagerState {
-    /// A submitted job's arrival fired: record it, append it to the
-    /// online queue and to the next-occurrence index (same order — the
-    /// index's segment deque mirrors `[current] + arrived` exactly).
-    /// The single admission path shared by the event dispatch and the
-    /// run loop's same-instant burst fast path, so per-arrival
-    /// bookkeeping can never diverge between the two.
-    pub(crate) fn admit_arrival(&mut self, idx: usize, now: SimTime) {
+    /// A submitted job's arrival fired: record it and append it to the
+    /// online queue and to the planned order. In the planned phase an
+    /// arrival that out-prioritises the backlog's tail belongs ahead of
+    /// it, so the order goes stale (the index itself keeps the appended
+    /// order until the next activation rebuilds it). The single
+    /// admission path shared by the event dispatch and the run loop's
+    /// same-instant burst fast path, so per-arrival bookkeeping can
+    /// never diverge between the two.
+    pub(crate) fn admit_arrival(&mut self, idx: usize, now: SimTime, jobs: &[JobSpec]) {
         self.record(|| TraceEvent::JobArrival {
             job: idx as u32,
             at: now,
         });
+        if self.index_order == IndexOrder::Planned && !self.arrived.is_empty() {
+            let tail = *self
+                .segment_jobs
+                .back()
+                .expect("waiting arrivals are planned");
+            if jobs[idx].qos.priority > jobs[tail as usize].qos.priority {
+                self.index_order = IndexOrder::Stale;
+            }
+        }
         self.arrived.push_back(idx);
-        self.reuse_index
-            .push_job(Arc::clone(&self.job_templates[idx].cfg_seq));
         self.segment_jobs.push_back(idx as u32);
+        self.top_up_reuse_index();
     }
 
     /// The current graph completed: drop its (fully consumed) segment
-    /// from the index so memory tracks the live backlog.
+    /// from the planned order and the index, and materialise the next
+    /// planned job if it just came into view.
     pub(crate) fn retire_front_job(&mut self) {
         self.reuse_index.retire_front();
         self.segment_jobs.pop_front();
+        self.top_up_reuse_index();
+    }
+
+    /// Materialises the planned order's leading segments until the
+    /// index holds [`index_cap`](ManagerState::index_cap) of them (or
+    /// all there are). Positions keep growing across top-ups, so every
+    /// window stays one contiguous interval in planned order.
+    pub(crate) fn top_up_reuse_index(&mut self) {
+        let want = self.segment_jobs.len().min(self.index_cap());
+        while self.reuse_index.jobs() < want {
+            let idx = self.segment_jobs[self.reuse_index.jobs()] as usize;
+            self.reuse_index
+                .push_job(Arc::clone(&self.job_templates[idx].cfg_seq));
+        }
+        debug_assert!(
+            self.index_matches_plan(),
+            "reuse index diverged from the plan"
+        );
+    }
+
+    /// The index holds exactly `min(cap, planned jobs)` segments, and
+    /// each is the sequence of the planned job at its ordinal.
+    fn index_matches_plan(&self) -> bool {
+        let held = self.reuse_index.jobs();
+        held == self.segment_jobs.len().min(self.index_cap())
+            && self
+                .segment_jobs
+                .iter()
+                .enumerate()
+                .take(held)
+                .all(|(k, &idx)| {
+                    self.reuse_index
+                        .segment_cfgs(k)
+                        .is_some_and(|c| Arc::ptr_eq(c, &self.job_templates[idx as usize].cfg_seq))
+                })
     }
 
     /// Attempts the reuse claim of Fig. 8 step 1 for the sequence head:

@@ -169,8 +169,13 @@ impl serde::Deserialize for FleetSpec {
                 "fleet.devices must name at least one device",
             ));
         }
-        if devices.contains(&0) {
-            return Err(serde::Error::msg("fleet device needs at least one RU"));
+        if devices
+            .iter()
+            .any(|&rus| rus == 0 || rus > u16::MAX as usize)
+        {
+            return Err(serde::Error::msg(
+                "fleet device RU counts must lie in 1..=65535 (the RU id range)",
+            ));
         }
         // Optional knobs fall back to their defaults so terse files
         // (`{"devices": [4, 4]}`) stay loadable.
@@ -713,6 +718,8 @@ mod tests {
         // Invalid forms are loud.
         assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": []}"#).is_err());
         assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": [0]}"#).is_err());
+        assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": [4, 65536]}"#).is_err());
+        assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": [65535]}"#).is_ok());
         assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": [4], "tenants": 0}"#).is_err());
         assert!(serde_json::from_str::<FleetSpec>(
             r#"{"devices": [4], "placement": "alphabetical"}"#

@@ -24,7 +24,7 @@ use crate::engine::faults::FaultRuntime;
 use crate::engine::warm::{
     deliver_callback, recordable_cfg, same_spec, SealedRun, WarmPlan, WarmRecorder, WarmStats,
 };
-use crate::engine::{Event, JobScratch, ManagerState, ReconfigKind};
+use crate::engine::{Event, IndexOrder, JobScratch, ManagerState, ReconfigKind};
 use crate::engine::{
     PRIO_END_OF_EXECUTION, PRIO_END_OF_RECONFIGURATION, PRIO_JOB_ARRIVAL, PRIO_NEW_TASK_GRAPH,
     PRIO_RU_HEAL,
@@ -226,8 +226,11 @@ impl Engine {
                 suspended: Vec::new(),
                 exec_token: vec![0; cfg.rus],
                 pending_preempt: false,
-                index_fifo: true,
+                index_order: IndexOrder::Fifo,
                 segment_jobs: VecDeque::new(),
+                order_scratch: Vec::new(),
+                #[cfg(test)]
+                index_rebuilds: 0,
                 job_slack: Vec::new(),
                 qos_deadlines: false,
                 qos_lanes: false,
@@ -400,7 +403,7 @@ impl Engine {
                 if at != t0 {
                     break;
                 }
-                self.m.admit_arrival(idx, at);
+                self.m.admit_arrival(idx, at, &self.jobs);
                 self.lane_cursor += 1;
             }
             self.m.queue.advance_to(t0);
@@ -543,9 +546,11 @@ impl Engine {
             && self.lane_cursor == self.arrival_lane.len()
     }
 
-    /// The engine's shared next-occurrence index over `[current job] +
-    /// arrived backlog` — exposed read-only for diagnostics and
-    /// benches.
+    /// The engine's shared next-occurrence index over the part of the
+    /// planned service order a decision can see: the current job plus
+    /// the next `n` planned jobs for `Lookahead::Graphs(n)`, the current
+    /// job alone for `None`, the whole arrived backlog for `All`.
+    /// Exposed read-only for diagnostics and benches.
     pub fn reuse_index(&self) -> &ReuseIndex {
         &self.m.reuse_index
     }
@@ -658,8 +663,13 @@ impl Engine {
         self.m.exec_token.clear();
         self.m.exec_token.resize(cfg.rus, 0);
         self.m.pending_preempt = false;
-        self.m.index_fifo = true;
+        self.m.index_order = IndexOrder::Fifo;
         self.m.segment_jobs.clear();
+        self.m.order_scratch.clear();
+        #[cfg(test)]
+        {
+            self.m.index_rebuilds = 0;
+        }
         self.m.slack_scratch.clear();
         self.m.qos_preemptions = 0;
         self.m.qos_checkpoints = 0;
@@ -848,10 +858,9 @@ impl Engine {
         // instant.
         for idx in cp_jobs_done..n_now {
             self.m.arrived.push_back(idx);
-            let seq = Arc::clone(&self.m.job_templates[idx].cfg_seq);
-            self.m.reuse_index.push_job(seq);
             self.m.segment_jobs.push_back(idx as u32);
         }
+        self.m.top_up_reuse_index();
         self.lane_cursor = n_now;
         self.m.pending_activation = Some(cp_now);
         self.warm_stats.prefix_hits += 1;
@@ -1422,5 +1431,41 @@ mod tests {
         engine.run(&mut FirstCandidatePolicy);
         assert!(engine.reuse_index().is_empty(), "retired on completion");
         assert_eq!(engine.completed_jobs(), 2);
+    }
+
+    /// Jobs arriving every 10 ms (a backlog builds behind each 79 ms
+    /// jpeg graph) with lane priorities `prios`; returns the rebuilds
+    /// of the planned order over the run.
+    fn lane_rebuilds(prios: &[u8]) -> u64 {
+        let g = Arc::new(benchmarks::jpeg());
+        let mut engine = Engine::new(&ManagerConfig::paper_default());
+        for (k, &p) in prios.iter().enumerate() {
+            engine.submit(
+                JobSpec::new(Arc::clone(&g))
+                    .with_arrival(SimTime::from_ms(10 * k as u64))
+                    .with_qos(crate::QosClass::priority(p)),
+            );
+        }
+        engine.run(&mut FirstCandidatePolicy);
+        assert_eq!(engine.completed_jobs(), prios.len());
+        engine.m.index_rebuilds
+    }
+
+    #[test]
+    fn in_order_lanes_rebuild_the_index_once() {
+        // Job 2 (priority 8) is served ahead of the older job 1: the
+        // FIFO phase ends with one rebuild. No later arrival
+        // out-prioritises the backlog's tail, so the planned order is
+        // kept by appends and front retirements alone.
+        let mut prios = vec![0u8, 1, 8];
+        prios.extend([0u8; 13]);
+        assert_eq!(lane_rebuilds(&prios), 1);
+        // One arrival above the tail, after the FIFO phase (t = 140 ms),
+        // makes the order stale: one more rebuild at the next
+        // activation.
+        prios[14] = 5;
+        assert_eq!(lane_rebuilds(&prios), 2);
+        // A uniform run never leaves the FIFO phase.
+        assert_eq!(lane_rebuilds(&[0; 16]), 0);
     }
 }

@@ -9,25 +9,32 @@
 //! [`ReuseIndex`] instead maintains, incrementally as the engine runs,
 //!
 //! * a **global position space**: every configuration request of every
-//!   job gets a monotonically increasing position as the job *arrives*
-//!   (arrival order = activation order, so positions are stream order);
+//!   indexed job gets a monotonically increasing position as the job is
+//!   pushed — the engine pushes jobs in planned service order, so
+//!   positions are stream order;
 //! * **per-config occurrence lists**: for each [`ConfigId`], the sorted
 //!   list of its positions — sorted for free, because positions are
 //!   assigned monotonically;
-//! * a **segment deque** mirroring `[current job] + arrived backlog`,
-//!   so the visible Dynamic-List window of any decision is a single
-//!   *contiguous* position interval.
+//! * a **segment deque** holding the current job and the next planned
+//!   jobs in service order, so the visible Dynamic-List window of any
+//!   decision is a single *contiguous* position interval.
+//!
+//! The engine materialises only the segments a decision can see — the
+//! current job plus the Dynamic List's `n` graphs for Local LFD(n),
+//! everything for the LFD oracle — and pushes the next planned job when
+//! a retirement brings it into view, so upkeep tracks the window, not
+//! the backlog.
 //!
 //! That contiguity is the crux: the window the replacement module sees
 //! is always "the rest of the current graph's sequence, then the next
-//! `w` arrived graphs" — consecutive segments in activation order.
+//! `w` planned graphs" — consecutive segments in service order.
 //! A next-use query is therefore one binary search (`partition_point`)
 //! in the config's occurrence list against the window's lower bound,
 //! plus an upper-bound check. No per-decision rebuild, and the index is
 //! shared across consecutive decisions.
 //!
 //! Retired jobs are pruned front-first ([`ReuseIndex::retire_front`]),
-//! so memory tracks the live backlog, not the whole run history.
+//! so memory tracks the indexed segments, not the whole run history.
 
 use rtr_sim::DenseIdMap;
 use rtr_taskgraph::ConfigId;
@@ -39,7 +46,7 @@ use std::sync::Arc;
 /// (`partition_point` per replacement decision) runs on a plain slice —
 /// no ring-wrap masking per probe. Front pops advance the cursor; the
 /// dead prefix is compacted away once it outgrows the live tail, so
-/// memory stays proportional to the live backlog (amortised O(1) per
+/// memory stays proportional to the indexed segments (amortised O(1) per
 /// pop).
 #[derive(Debug, Clone, Default)]
 struct OccurrenceList {
@@ -174,9 +181,10 @@ impl ReuseWindow {
 
 /// Per-config next-occurrence index over the future request stream.
 ///
-/// Maintained by the engine as jobs arrive ([`push_job`]), as the
-/// current graph's sequence is consumed (positional, via the `consumed`
-/// argument of [`window`]), and as graphs retire ([`retire_front`]).
+/// Maintained by the engine as planned jobs come into view
+/// ([`push_job`]), as the current graph's sequence is consumed
+/// (positional, via the `consumed` argument of [`window`]), and as
+/// graphs retire ([`retire_front`]).
 /// Policies query it through
 /// [`DecisionContext`](crate::DecisionContext).
 ///
@@ -193,7 +201,7 @@ pub struct ReuseIndex {
     /// of churning the table — the config universe is bounded by the
     /// template set.
     occurrences: OccurrenceTable,
-    /// `[current job] + arrived backlog`, in activation order.
+    /// The current job, then the next indexed jobs, in service order.
     segments: VecDeque<IndexSegment>,
     /// Next global position to assign.
     next_pos: u64,
@@ -206,8 +214,8 @@ impl ReuseIndex {
     }
 
     /// Appends a job's configuration sequence to the stream, assigning
-    /// it the next contiguous position range. Call in *arrival* order —
-    /// the engine's activation order — so positions are stream order.
+    /// it the next contiguous position range. Call in service order, so
+    /// positions are stream order.
     pub fn push_job(&mut self, cfgs: Arc<Vec<ConfigId>>) {
         let base = self.next_pos;
         for (k, &c) in cfgs.iter().enumerate() {
@@ -246,9 +254,16 @@ impl ReuseIndex {
         self.next_pos = 0;
     }
 
-    /// Number of live jobs (current + backlog) in the index.
+    /// Number of live jobs (current + indexed backlog) in the index.
     pub fn jobs(&self) -> usize {
         self.segments.len()
+    }
+
+    /// The configuration sequence of live segment `k` (0 = the current
+    /// job), shared with the engine's template cache — the engine's
+    /// debug check that its segments follow the planned order.
+    pub(crate) fn segment_cfgs(&self, k: usize) -> Option<&Arc<Vec<ConfigId>>> {
+        self.segments.get(k).map(|s| &s.cfgs)
     }
 
     /// Total number of live (not yet retired) requests indexed.
@@ -287,9 +302,9 @@ impl ReuseIndex {
     }
 
     /// Ordinal of the live segment (0 = the current job, `k` = the
-    /// `k`-1-th backlog job) containing global position `pos`, or
-    /// `None` for a retired or not-yet-assigned position. The engine maps the
-    /// ordinal back to a job index through its own `[current] + arrived`
+    /// `k`-th planned job after it) containing global position `pos`,
+    /// or `None` for a retired or not-yet-assigned position. The engine
+    /// maps the ordinal back to a job index through its planned-order
     /// bookkeeping — the deadline-aware path's owner lookup. One binary
     /// search over the segment deque.
     pub fn segment_of(&self, pos: u64) -> Option<usize> {

@@ -41,6 +41,6 @@ pub use arrivals::{ArrivalError, ArrivalProcess};
 pub use policies::PolicyKind;
 pub use qos::QosSpec;
 pub use runner::{run_cell, run_cell_with_arrivals, CellConfig};
-pub use scenario::Scenario;
+pub use scenario::{Scenario, ScenarioError};
 pub use sequence::SequenceModel;
 pub use table::Table;

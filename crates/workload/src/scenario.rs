@@ -5,7 +5,7 @@
 //! Scenarios round-trip through JSON so experiment configurations can
 //! be versioned next to their results.
 
-use crate::arrivals::ArrivalProcess;
+use crate::arrivals::{ArrivalError, ArrivalProcess};
 use crate::parallel::parallel_map_with;
 use crate::policies::PolicyKind;
 use crate::qos::QosSpec;
@@ -19,11 +19,46 @@ use rtr_manager::{FaultPlan, FleetSpec, JobSpec, PreemptionMode, TenantId};
 use rtr_taskgraph::serialize::GraphSpec;
 use rtr_taskgraph::TaskGraph;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::sync::Arc;
 
 /// Salt decorrelating the arrival-time RNG stream from the
 /// application-sequence stream drawn with the same scenario seed.
 const ARRIVAL_SEED_SALT: u64 = 0xA881_17A1;
+
+/// Why [`Scenario::from_json`] rejected a file. Each variant names input
+/// that would otherwise load and then panic inside `run()`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// The JSON does not parse into a scenario.
+    Parse(String),
+    /// A graph template fails validation.
+    Template(String),
+    /// A degenerate arrival process.
+    Arrivals(ArrivalError),
+    /// `rus` outside `1..=65535`, the range of RU ids.
+    RuCount(usize),
+    /// A zero `device.reconfig_latency`: loads must take time (the
+    /// zero-latency ideal is simulated separately).
+    ZeroReconfigLatency,
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::Parse(e) | ScenarioError::Template(e) => f.write_str(e),
+            ScenarioError::Arrivals(e) => e.fmt(f),
+            ScenarioError::RuCount(rus) => {
+                write!(f, "rus = {rus} is outside 1..={}", u16::MAX)
+            }
+            ScenarioError::ZeroReconfigLatency => {
+                write!(f, "device.reconfig_latency must be positive")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
 
 /// A complete, serialisable experiment description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,16 +136,28 @@ impl Scenario {
         serde_json::to_string_pretty(self).expect("scenario serialisation is total")
     }
 
-    /// Parses and re-validates a scenario from JSON.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let scenario: Scenario = serde_json::from_str(json).map_err(|e| e.to_string())?;
+    /// Parses and re-validates a scenario from JSON. Invalid templates,
+    /// degenerate arrival processes, RU counts outside the RU id range
+    /// and a zero reconfiguration latency are rejected here, on the
+    /// loading thread, instead of panicking inside a sweep worker.
+    pub fn from_json(json: &str) -> Result<Self, ScenarioError> {
+        let scenario: Scenario =
+            serde_json::from_str(json).map_err(|e| ScenarioError::Parse(e.to_string()))?;
         // Validate each template through the builder path.
         for spec in &scenario.templates {
-            TaskGraph::try_from(spec.clone()).map_err(|e| e.to_string())?;
+            TaskGraph::try_from(spec.clone())
+                .map_err(|e| ScenarioError::Template(e.to_string()))?;
         }
-        // Reject degenerate arrival processes here, on the loading
-        // thread, instead of panicking inside a sweep worker later.
-        scenario.arrivals.validate().map_err(|e| e.to_string())?;
+        scenario
+            .arrivals
+            .validate()
+            .map_err(ScenarioError::Arrivals)?;
+        if !(1..=u16::MAX as usize).contains(&scenario.rus) {
+            return Err(ScenarioError::RuCount(scenario.rus));
+        }
+        if scenario.device.reconfig_latency.is_zero() {
+            return Err(ScenarioError::ZeroReconfigLatency);
+        }
         Ok(scenario)
     }
 
@@ -433,10 +480,10 @@ mod tests {
             size: 0,
             mean_gap_us: 1,
         };
-        let err = Scenario::from_json(&s.to_json()).unwrap_err();
+        let err = Scenario::from_json(&s.to_json()).unwrap_err().to_string();
         assert!(err.contains("at least one job per burst"), "{err}");
         s.arrivals = ArrivalProcess::Poisson { mean_gap_us: 0 };
-        let err = Scenario::from_json(&s.to_json()).unwrap_err();
+        let err = Scenario::from_json(&s.to_json()).unwrap_err().to_string();
         assert!(err.contains("batch setting"), "{err}");
     }
 
@@ -501,5 +548,43 @@ mod tests {
         let t = s.run();
         assert_eq!(t.len(), s.policies.len());
         assert!(t.to_markdown().contains("poisson(80ms)"));
+    }
+
+    /// `Scenario::paper_fig9(4, 10, 1).to_json()` with the number after
+    /// the first `"key": ` replaced by `value`.
+    fn fig9_json_with(key: &str, value: u64) -> String {
+        let json = Scenario::paper_fig9(4, 10, 1).to_json();
+        let tag = format!("\"{key}\": ");
+        let at = json.find(&tag).expect("field serialised") + tag.len();
+        let len = json[at..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("a number, then more JSON");
+        assert!(len > 0, "{key} serialises as a bare number");
+        format!("{}{value}{}", &json[..at], &json[at + len..])
+    }
+
+    #[test]
+    fn rejects_ru_counts_outside_the_id_range() {
+        for rus in [0, 65_536, u64::MAX] {
+            let err = Scenario::from_json(&fig9_json_with("rus", rus)).unwrap_err();
+            assert_eq!(err, ScenarioError::RuCount(rus as usize));
+        }
+        for rus in [1, 65_535] {
+            let s = Scenario::from_json(&fig9_json_with("rus", rus)).expect("in range");
+            assert_eq!(s.rus as u64, rus);
+        }
+        // The smallest accepted pool runs.
+        let s = Scenario::from_json(&fig9_json_with("rus", 1)).unwrap();
+        assert_eq!(s.run().len(), s.policies.len());
+    }
+
+    #[test]
+    fn rejects_a_zero_reconfig_latency() {
+        let err = Scenario::from_json(&fig9_json_with("reconfig_latency", 0)).unwrap_err();
+        assert_eq!(err, ScenarioError::ZeroReconfigLatency);
+        assert!(err.to_string().contains("reconfig_latency"), "{err}");
+        // The smallest positive latency loads and runs.
+        let s = Scenario::from_json(&fig9_json_with("reconfig_latency", 1)).unwrap();
+        assert_eq!(s.run().len(), s.policies.len());
     }
 }
